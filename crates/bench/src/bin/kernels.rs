@@ -23,8 +23,7 @@
 //!   the one-word-at-a-time loops they replaced: a Kleene information-order
 //!   join over a whole binary-plane slab, and the Warshall inner union of
 //!   `bool_closure`. Here the "scalar" column is the per-word loop (the
-//!   pre-block path), not a per-node one. Built with `--features simd`
-//!   these rows exercise the AVX2 dispatch on supporting hosts.
+//!   pre-block path), not a per-node one.
 //!
 //! Timing uses `std::time::Instant`, best-of-`REPS` (the in-tree harness;
 //! Criterion is intentionally not a dependency). Run with

@@ -38,8 +38,11 @@ use hetsep_tvl::pred::{Arity, PredTable};
 use hetsep_tvl::structure::Structure;
 use hetsep_tvl::telemetry::{Counter, Phase, RunMetrics};
 
+use crate::jobcache::{action_content, SharedTransferSession, TransferPayload};
 use crate::parallel::map_ordered;
 use crate::report::{dedup_reports, ErrorReport};
+use crate::store::{saturating_u32, RunScope};
+use crate::summary::{region_content, SharedSummarySession, SummaryPayload};
 use crate::translate::AnalysisInstance;
 use crate::vocab::SiteId;
 
@@ -161,16 +164,10 @@ pub struct EngineConfig {
     /// fills, the old generation is discarded (counted in
     /// [`Counter::TransferCacheEvictions`]) and the young one ages into its
     /// place. Probes that hit the old generation promote the entry back into
-    /// the young one, so the warm working set survives rotation — unlike the
-    /// previous flush-all policy, which dumped every entry exactly when the
-    /// cache was most valuable. Eviction is sound either way (the cache is
-    /// exact, so losing entries only costs time).
+    /// the young one, so the warm working set survives rotation instead of
+    /// being dumped exactly when the cache is most valuable. Eviction is
+    /// sound (the cache is exact, so losing entries only costs time).
     pub transfer_cache_capacity: usize,
-    /// Revert to the pre-two-generation flush-all eviction policy (clear the
-    /// entire cache when `transfer_cache_capacity` is reached). Kept as an
-    /// A/B baseline so tests can prove the two-generation policy evicts
-    /// strictly less at identical verdicts; never faster, off by default.
-    pub transfer_cache_flush_all: bool,
     /// Memoize per-procedure summaries: the engine always evaluates a
     /// spliced call region as a nested subproblem of its entry structure
     /// (see the region drain in [`run_shared`]); with this flag on, the
@@ -200,7 +197,6 @@ impl Default for EngineConfig {
             preanalysis: false,
             transfer_cache: true,
             transfer_cache_capacity: 1 << 20,
-            transfer_cache_flush_all: false,
             summaries: true,
         }
     }
@@ -308,13 +304,10 @@ type TransferKey = (u32, StructureId);
 /// old. A probe that hits the old generation promotes the entry back into
 /// the young one, so anything re-referenced within one generation's worth of
 /// inserts is never evicted: the warm working set survives rotation instead
-/// of being dumped wholesale. The optional `flush_all` mode reproduces the
-/// historical clear-everything policy as an A/B baseline.
+/// of being dumped wholesale.
 struct TransferCache {
-    /// Entry budget per generation (flush-all: for the whole cache).
+    /// Entry budget per generation.
     cap: usize,
-    /// Use the historical flush-all policy instead of two generations.
-    flush_all: bool,
     /// The young generation: receives inserts and promotions.
     young: HashMap<TransferKey, TransferEntry>,
     /// The old generation: read-only until discarded by the next rotation.
@@ -322,15 +315,9 @@ struct TransferCache {
 }
 
 impl TransferCache {
-    fn new(capacity: usize, flush_all: bool) -> TransferCache {
-        let cap = if flush_all {
-            capacity.max(1)
-        } else {
-            (capacity / 2).max(1)
-        };
+    fn new(capacity: usize) -> TransferCache {
         TransferCache {
-            cap,
-            flush_all,
+            cap: (capacity / 2).max(1),
             young: HashMap::new(),
             old: HashMap::new(),
         }
@@ -360,25 +347,17 @@ impl TransferCache {
         self.young.insert(key, entry);
     }
 
-    /// Evicts when the young generation is at capacity: flush-all clears
-    /// everything; two-generation discards only the old generation and ages
-    /// the young one. Either way [`Counter::TransferCacheEvictions`] counts
-    /// the entries actually discarded.
+    /// Evicts when the young generation is at capacity: discards the old
+    /// generation and ages the young one. [`Counter::TransferCacheEvictions`]
+    /// counts the entries actually discarded.
     fn rotate_if_full(&mut self, metrics: &mut RunMetrics) {
         if self.young.len() < self.cap {
             return;
         }
-        if self.flush_all {
-            metrics
-                .counters
-                .add(Counter::TransferCacheEvictions, self.young.len() as u64);
-            self.young.clear();
-        } else {
-            metrics
-                .counters
-                .add(Counter::TransferCacheEvictions, self.old.len() as u64);
-            self.old = std::mem::take(&mut self.young);
-        }
+        metrics
+            .counters
+            .add(Counter::TransferCacheEvictions, self.old.len() as u64);
+        self.old = std::mem::take(&mut self.young);
     }
 }
 
@@ -607,8 +586,8 @@ struct EngineSt<'s> {
     metrics: RunMetrics,
     interner: StructureInterner,
     cache: TransferCache,
-    shared_scope: Option<crate::jobcache::RunScope<'s>>,
-    summary_scope: Option<crate::summary::SummaryRunScope<'s>>,
+    shared_scope: Option<RunScope<'s, TransferPayload>>,
+    summary_scope: Option<RunScope<'s, SummaryPayload>>,
     /// Precomputed speculative transfers (phase 2 of the global drain).
     speculative: HashMap<TransferKey, ComputedTransfer>,
     /// In-run summary memo: `(region content id, input id)` → summary.
@@ -722,7 +701,7 @@ impl EngineSt<'_> {
 }
 
 /// Runs the worklist analysis with optional cross-job shared transfer and
-/// summary sessions (see [`crate::jobcache`] and [`crate::summary`]).
+/// summary sessions (see [`crate::store`]).
 ///
 /// When a transfer session is given (and `config.transfer_cache` is on — the
 /// shared layer sits strictly behind the per-run cache), a per-run-cache
@@ -740,8 +719,8 @@ pub fn run_shared<'s>(
     instance: &AnalysisInstance,
     config: &EngineConfig,
     cancel: Option<&AtomicBool>,
-    shared: Option<&'s crate::jobcache::SharedTransferSession<'s>>,
-    summaries: Option<&'s crate::summary::SharedSummarySession<'s>>,
+    shared: Option<&'s SharedTransferSession<'s>>,
+    summaries: Option<&'s SharedSummarySession<'s>>,
 ) -> RunResult {
     let start = Instant::now();
     let table = &instance.vocab.table;
@@ -787,7 +766,7 @@ pub fn run_shared<'s>(
         let mut content_ix: HashMap<String, u32> = HashMap::new();
         for (ix, region) in cfg.regions().iter().enumerate() {
             region_by_entry.insert(region.entry.index(), ix);
-            let content = crate::summary::region_content(region, cfg, &instance.actions);
+            let content = region_content(region, cfg, &instance.actions);
             let id = *content_ix.entry(content.clone()).or_insert_with(|| {
                 distinct_contents.push(content);
                 (distinct_contents.len() - 1) as u32
@@ -804,19 +783,17 @@ pub fn run_shared<'s>(
         pred_of_site.insert(site, pred.index() as u32);
     }
 
-    let cache = TransferCache::new(
-        config.transfer_cache_capacity,
-        config.transfer_cache_flush_all,
-    );
+    let cache = TransferCache::new(config.transfer_cache_capacity);
     // The shared layers sit strictly behind the per-run memos: they are only
     // consulted (and populated) when those miss, so the added cost is
     // bounded by one content probe per distinct key per run.
-    let shared_scope = shared
-        .filter(|_| config.transfer_cache)
-        .map(|s| s.run_scope(table, config.focus_limit, &uniq_actions));
+    let shared_scope = shared.filter(|_| config.transfer_cache).map(|s| {
+        let contents = uniq_actions.iter().map(|a| action_content(a)).collect();
+        s.run_scope(table, config.focus_limit, contents)
+    });
     let summary_scope = summaries
         .filter(|_| summaries_active)
-        .map(|s| s.run_scope(table, config.focus_limit, &distinct_contents));
+        .map(|s| s.run_scope(table, config.focus_limit, distinct_contents));
 
     let ctx = EngineCtx {
         instance,
@@ -1222,19 +1199,24 @@ fn drain(
                                     // warm corpus run reports strictly fewer
                                     // transfer-cache misses than a cold one.
                                     st.metrics.counters.add(Counter::SharedCacheHits, 1);
-                                    if !hit.violations.is_empty() {
-                                        for (label, definite) in &hit.violations {
+                                    let TransferPayload {
+                                        violations,
+                                        peak_post_nodes,
+                                    } = hit.payload;
+                                    let peak_post_nodes = peak_post_nodes as usize;
+                                    if !violations.is_empty() {
+                                        for (label, definite) in &violations {
                                             st.note_violation(edge.line, label, *definite);
                                         }
                                         st.note_failing_structure(instance, &s);
                                     }
-                                    st.raise_peak_nodes(hit.peak_post_nodes);
+                                    st.raise_peak_nodes(peak_post_nodes);
                                     // Stored posts are the exact canonical
                                     // blur outputs of the original compute,
                                     // so interning them replays the cold
                                     // run's id assignment.
                                     let posts: Vec<StructureId> = hit
-                                        .posts
+                                        .structures
                                         .into_iter()
                                         .map(|p| st.interner.intern(p))
                                         .collect();
@@ -1244,8 +1226,8 @@ fn drain(
                                             cache_key,
                                             TransferEntry {
                                                 posts: posts.clone(),
-                                                violations: hit.violations,
-                                                peak_post_nodes: hit.peak_post_nodes,
+                                                violations,
+                                                peak_post_nodes,
                                             },
                                             metrics,
                                         );
@@ -1318,8 +1300,10 @@ fn drain(
                                         cache_key.0,
                                         input,
                                         post_words,
-                                        violations.clone(),
-                                        peak_post_nodes,
+                                        TransferPayload {
+                                            violations: violations.clone(),
+                                            peak_post_nodes: saturating_u32(peak_post_nodes),
+                                        },
                                     );
                                 }
                             }
@@ -1463,11 +1447,12 @@ fn eval_region(
             // Stored exits are the exact canonical structures of the
             // original nested drain, so interning them replays the cold
             // run's id assignment.
-            let mut exits = Vec::with_capacity(hit.exits.len());
-            for x in hit.exits {
+            let mut exits = Vec::with_capacity(hit.structures.len());
+            for x in hit.structures {
                 exits.push(st.interner.intern(x));
             }
-            let mut failing: Vec<SiteId> = hit
+            let payload = hit.payload;
+            let mut failing: Vec<SiteId> = payload
                 .failing_preds
                 .iter()
                 .filter_map(|p| ctx.site_of_pred.get(p).copied())
@@ -1475,11 +1460,11 @@ fn eval_region(
             failing.sort_unstable();
             let summary = Rc::new(RegionSummary {
                 exits,
-                violations: hit.violations,
+                violations: payload.violations,
                 failing,
-                visits: hit.visits,
-                peak_extra: hit.peak_extra,
-                peak_nodes: hit.peak_nodes,
+                visits: payload.visits,
+                peak_extra: payload.peak_extra as usize,
+                peak_nodes: payload.peak_nodes as usize,
             });
             st.memo.insert(key, summary.clone());
             memoized = Some(summary);
@@ -1589,11 +1574,13 @@ fn compute_region(
                 ctx.region_contents[region_ix],
                 input_words,
                 exit_words,
-                summary.violations.clone(),
-                failing_preds,
-                summary.visits,
-                summary.peak_extra,
-                summary.peak_nodes,
+                SummaryPayload {
+                    violations: summary.violations.clone(),
+                    failing_preds,
+                    visits: summary.visits,
+                    peak_extra: saturating_u32(summary.peak_extra),
+                    peak_nodes: saturating_u32(summary.peak_nodes),
+                },
             );
             st.summary_scope = Some(scope);
         }

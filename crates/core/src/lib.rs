@@ -61,6 +61,7 @@ pub mod relevance;
 pub mod report;
 pub mod semantics;
 pub mod session;
+pub mod store;
 pub mod summary;
 pub mod translate;
 pub mod vocab;
@@ -68,7 +69,8 @@ pub mod workspace;
 
 pub use engine::{AnalysisOutcome, EngineConfig, ParallelConfig, RunStats};
 pub use jobcache::{SharedTransferSession, TransferStore};
-pub use summary::{CacheFile, SharedSummarySession, SummaryStore};
+pub use store::CacheFile;
+pub use summary::{SharedSummarySession, SummaryStore};
 pub use parallel::map_ordered;
 pub use hetsep_tvl::telemetry::{
     Counter, Counters, Event, EventSink, MetricsSink, NullSink, Phase, PhaseStats, PhaseTimings,

@@ -480,10 +480,13 @@ fn site_options(base: &TranslateOptions, choice_ix: usize, site: SiteId) -> Tran
 ///
 /// Results come back in `sites` order regardless of completion order, so
 /// downstream merging is deterministic. A subproblem that exhausts its
-/// budget raises a shared cancellation flag: no new subproblems are started
-/// (on any path, including single-threaded), and in-flight runs abort at
-/// their next poll — the verification is inconclusive at that point either
-/// way, so the remaining work only refines an already-incomplete report.
+/// budget (or fails to translate) *stops* the sites after it: no new
+/// subproblems are started (on any path, including single-threaded), runs
+/// of later sites abort at their next poll, and every later site's result
+/// is discarded — the verification is inconclusive at that point either
+/// way. Earlier sites are never interrupted, so with any thread count the
+/// report is exactly the serial one: every site up to and including the
+/// first stopping one, in site order.
 #[allow(clippy::too_many_arguments)]
 fn run_sites(
     program: &Program,
@@ -497,21 +500,32 @@ fn run_sites(
 ) -> Result<Vec<(SiteId, RunResult)>, VerifyError> {
     let threads = config.parallel.effective_threads().clamp(1, sites.len().max(1));
     let cancel = AtomicBool::new(false);
-    let slots = crate::parallel::map_ordered(sites, threads, &cancel, |_, &site, flag| {
+    // One cancellation flag per site, raised only by an earlier site.
+    let site_cancel: Vec<AtomicBool> = sites.iter().map(|_| AtomicBool::new(false)).collect();
+    let stops = |result: &Result<RunResult, VerifyError>| {
+        result
+            .as_ref()
+            .map_or(true, |r| r.outcome == AnalysisOutcome::BudgetExceeded)
+    };
+    let slots = crate::parallel::map_ordered(sites, threads, &cancel, |ix, &site, flag| {
         let result = translate(program, spec, &site_options(base, choice_ix, site))
-            .map(|inst| run_shared(&inst, config, Some(flag), shared, summaries));
-        if result.is_err() {
+            .map(|inst| run_shared(&inst, config, Some(&site_cancel[ix]), shared, summaries));
+        if stops(&result) {
             flag.store(true, Ordering::Relaxed);
+            for later in &site_cancel[ix + 1..] {
+                later.store(true, Ordering::Relaxed);
+            }
         }
         result
     });
     let mut out = Vec::with_capacity(sites.len());
-    for (ix, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(result)) => out.push((sites[ix], result)),
-            Some(Err(e)) => return Err(e),
-            // Never started: a sibling run raised the cancellation flag.
-            None => {}
+    // Never-started slots (`None`) only follow a stopping site.
+    for (ix, result) in slots.into_iter().enumerate() {
+        let Some(result) = result else { break };
+        let stop = stops(&result);
+        out.push((sites[ix], result?));
+        if stop {
+            break;
         }
     }
     Ok(out)
@@ -901,9 +915,8 @@ pub(crate) fn verify_inner(
                             }
                             report.absorb(Some(site), result);
                         }
-                        // else: never started — a sibling raised the
-                        // cancellation flag; the report is already
-                        // incomplete.
+                        // else: dropped — an earlier site exhausted its
+                        // budget; the report is already incomplete.
                     }
                     if let Some(pre) = pre {
                         report.preanalysis = Some(pre.summary());

@@ -19,9 +19,9 @@
 //!   the store and absorbs the run's computed transfers back afterwards, so
 //!   an unchanged (program, spec, strategy, mode) quadruple replays its
 //!   transfers from earlier requests instead of recomputing them —
-//!   observation-equivalent by the jobcache contract (verdicts, errors and
-//!   visit counts identical; only the shared-cache counters and wall-clock
-//!   change).
+//!   observation-equivalent by the [`crate::store`] contract (verdicts,
+//!   errors and visit counts identical; only the shared-cache counters and
+//!   wall-clock change).
 //! * **Verification is the same code path as the one-shot API.** Both
 //!   [`Workspace::verify`] and [`Verifier::run`] funnel through the one
 //!   private engine entry point (`verify_inner`), which is what makes the
@@ -336,13 +336,13 @@ impl Workspace {
         self.strategies.len()
     }
 
-    /// The mounted cross-request transfer store (e.g. to persist with
-    /// [`TransferStore::save`]).
+    /// The mounted cross-request transfer store (e.g. to persist in a
+    /// [`crate::CacheFile`]).
     pub fn store(&self) -> &TransferStore {
         &self.store
     }
 
-    /// Mounts a transfer store (e.g. loaded with [`TransferStore::load`]),
+    /// Mounts a transfer store (e.g. loaded with [`crate::CacheFile::load`]),
     /// replacing the current one. Verdicts never depend on the mounted
     /// store — only the shared-cache counters and wall-clock do.
     pub fn mount_store(&mut self, store: TransferStore) {

@@ -224,13 +224,12 @@ fn transfer_cache_is_observation_equivalent_on_scenarios() {
     );
 }
 
-/// The eviction-policy fix: at a tiny capacity the cache overflows
-/// constantly, and the two-generation policy must (a) stay exact — verdicts,
-/// visits, space, errors byte-identical to an uncapped run — and (b) discard
-/// strictly fewer entries than the historical flush-all policy, which dumped
-/// the entire warm working set at every overflow.
+/// At a tiny capacity the cache overflows constantly, and two-generation
+/// eviction must stay exact: verdicts, visits, space and errors
+/// byte-identical to an uncapped run, while the eviction counter reports the
+/// entries actually discarded.
 #[test]
-fn tiny_capacity_two_generation_eviction_is_exact_and_evicts_less() {
+fn tiny_capacity_two_generation_eviction_is_exact() {
     let src = "program P uses IOStreams; void main() {\n\
                while (?) {\n\
                InputStream f = new InputStream();\n\
@@ -250,69 +249,50 @@ fn tiny_capacity_two_generation_eviction_is_exact_and_evicts_less() {
         actual_errors: 0,
         expected_reported: vec![None, None],
     };
-    let run_capped = |mode: &Mode, flush_all: bool| -> VerificationReport {
-        let program = bench.program();
-        let spec = bench.spec();
-        Verifier::new(&program, &spec)
-            .mode(mode.clone())
-            .config(EngineConfig {
-                transfer_cache_capacity: 4,
-                transfer_cache_flush_all: flush_all,
-                ..budget()
-            })
-            .run()
-            .unwrap()
-    };
     for table_mode in [TableMode::Vanilla, TableMode::Single] {
         let label = table_mode.label();
         let mode = core_mode(&bench, table_mode).unwrap();
         let uncapped = run(&bench, &mode, true);
-        let two_gen = run_capped(&mode, false);
-        let flush_all = run_capped(&mode, true);
-        for (policy, capped) in [("two-gen", &two_gen), ("flush-all", &flush_all)] {
-            assert_eq!(
-                format!("{:?}", uncapped.errors),
-                format!("{:?}", capped.errors),
-                "{label}/{policy}: errors differ under capacity 4"
-            );
-            assert_eq!(
-                uncapped.verified(),
-                capped.verified(),
-                "{label}/{policy}: verdict differs under capacity 4"
-            );
-            assert_eq!(
-                uncapped.complete, capped.complete,
-                "{label}/{policy}: completeness differs under capacity 4"
-            );
-            assert_eq!(
-                uncapped.total_visits, capped.total_visits,
-                "{label}/{policy}: visits differ under capacity 4 (eviction \
-                 must only re-compute, never re-explore)"
-            );
-            assert_eq!(
-                uncapped.max_space, capped.max_space,
-                "{label}/{policy}: space differs under capacity 4"
-            );
-            assert_eq!(
-                uncapped.peak_nodes, capped.peak_nodes,
-                "{label}/{policy}: peak universe differs under capacity 4"
-            );
-        }
-        let ev_two_gen = two_gen.metrics.counters.get(Counter::TransferCacheEvictions);
-        let ev_flush = flush_all.metrics.counters.get(Counter::TransferCacheEvictions);
-        assert!(
-            ev_flush > 0,
-            "{label}: capacity 4 must overflow the flush-all cache (got 0 evictions)"
+        let program = bench.program();
+        let spec = bench.spec();
+        let capped = Verifier::new(&program, &spec)
+            .mode(mode.clone())
+            .config(EngineConfig {
+                transfer_cache_capacity: 4,
+                ..budget()
+            })
+            .run()
+            .unwrap();
+        assert_eq!(
+            format!("{:?}", uncapped.errors),
+            format!("{:?}", capped.errors),
+            "{label}: errors differ under capacity 4"
+        );
+        assert_eq!(
+            uncapped.verified(),
+            capped.verified(),
+            "{label}: verdict differs under capacity 4"
+        );
+        assert_eq!(
+            uncapped.complete, capped.complete,
+            "{label}: completeness differs under capacity 4"
+        );
+        assert_eq!(
+            uncapped.total_visits, capped.total_visits,
+            "{label}: visits differ under capacity 4 (eviction must only \
+             re-compute, never re-explore)"
+        );
+        assert_eq!(
+            uncapped.max_space, capped.max_space,
+            "{label}: space differs under capacity 4"
+        );
+        assert_eq!(
+            uncapped.peak_nodes, capped.peak_nodes,
+            "{label}: peak universe differs under capacity 4"
         );
         assert!(
-            ev_two_gen < ev_flush,
-            "{label}: two-generation eviction must discard strictly fewer \
-             entries than flush-all ({ev_two_gen} vs {ev_flush})"
-        );
-        assert!(
-            two_gen.metrics.counters.get(Counter::TransferCacheHits)
-                >= flush_all.metrics.counters.get(Counter::TransferCacheHits),
-            "{label}: retaining the working set must not lose hits"
+            capped.metrics.counters.get(Counter::TransferCacheEvictions) > 0,
+            "{label}: capacity 4 must overflow the cache (got 0 evictions)"
         );
         // The uncapped run never evicts: the counter stays an actual-eviction
         // count, not a rotation count.

@@ -25,9 +25,17 @@ fn batch(jobs: &[Job], workers: usize, cache: &mut CacheFile) -> BatchResult {
     run_batch(jobs, &cfg, &mut cache.transfers, &mut cache.summaries)
 }
 
+/// FNV-1a 64 of a byte string.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn results_are_independent_of_worker_count_and_job_order() {
-    let jobs = corpus(24);
+    // The CI smoke corpus (50 jobs, seed 42).
+    let jobs = corpus(50);
 
     let mut store_one = CacheFile::new();
     let one = batch(&jobs, 1, &mut store_one);
@@ -38,7 +46,15 @@ fn results_are_independent_of_worker_count_and_job_order() {
         assert_eq!(a.stable_json(), b.stable_json(), "{}", a.name);
     }
     // Same job order ⇒ the merged stores are byte-identical too.
-    assert_eq!(store_one.to_bytes(), store_four.to_bytes());
+    let bytes = store_one.to_bytes();
+    assert_eq!(bytes, store_four.to_bytes());
+    // The on-disk format is pinned: these bytes must keep loading as the
+    // caches already on disk, so any codec change that moves them fails here.
+    assert_eq!(
+        (bytes.len(), fnv1a64(&bytes)),
+        (4_372_180, 0xf8a7_f2bb_f5f3_083c),
+        "cache file bytes for the 50-job seed-42 corpus changed"
+    );
 
     // A shuffled submission order changes neither any job's outcome row.
     let mut shuffled = jobs.clone();

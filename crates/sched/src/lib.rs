@@ -11,21 +11,19 @@
 //! ([`hetsep_core::map_ordered`]) and the same discipline: results land in
 //! job order regardless of worker count or completion order.
 //!
-//! Two things persist across jobs (see [`hetsep_core::jobcache`]):
-//!
-//! * a shared structure pool — every canonical structure a transfer
-//!   produced is stored once, word-encoded and hash-consed in a sharded
-//!   interner;
-//! * a cross-job transfer cache keyed by *content fingerprint* of the
-//!   (vocabulary, action, input structure) triple, so a repeat corpus —
-//!   or a corpus of near-duplicate clients — replays transfers instead of
-//!   recomputing them.
+//! Two content-keyed stores persist across jobs (see
+//! [`hetsep_core::store`]): a [`TransferStore`] of single transfers keyed
+//! by (vocabulary, action, input structure) and a [`SummaryStore`] of
+//! call-region evaluations keyed by (vocabulary, region, input structure),
+//! each over a hash-consed pool of word-encoded structures. A repeat corpus
+//! — or a corpus of near-duplicate clients — replays their entries instead
+//! of recomputing them.
 //!
 //! # Determinism contract
 //!
-//! [`run_batch`] freezes the [`TransferStore`] before the batch: every job
-//! probes that immutable snapshot and records its own computed transfers
-//! into a private delta; deltas are merged back **in job order** after the
+//! [`run_batch`] freezes both stores before the batch: every job probes
+//! those immutable snapshots and records its own computed entries into
+//! private deltas; deltas are merged back **in job order** after the
 //! batch. Consequently each job's outcome (verdict, errors, visits, every
 //! cache counter) is a pure function of (job, engine config, snapshot) —
 //! not of the worker count, the schedule, or sibling jobs — and

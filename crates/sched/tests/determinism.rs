@@ -1,12 +1,13 @@
 //! Content-key determinism: the cross-job cache is only sound to share when
 //! the key derivation — vocabulary construction, lowering, and the `Debug`
-//! renderings `hetsep_core::jobcache` hashes — is a pure function of the
+//! renderings `hetsep_core::store` keys on — is a pure function of the
 //! program text. Translating the same program twice must produce identical
 //! context and action contents; a regression here (e.g. a `HashMap`
 //! iteration order leaking into predicate registration or update emission)
 //! silently degrades every warm run to a cold one.
 
-use hetsep_core::jobcache::{action_content, context_content};
+use hetsep_core::jobcache::action_content;
+use hetsep_core::store::context_content;
 use hetsep_core::translate::{translate, TranslateOptions};
 use hetsep_suite::corpus::{generate, CorpusConfig};
 

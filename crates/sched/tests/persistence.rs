@@ -2,7 +2,7 @@
 //! the store must behave exactly like the in-memory original — a warm batch
 //! replays transfers instead of recomputing them and adds no entries.
 
-use hetsep_core::{SummaryStore, TransferStore};
+use hetsep_core::{CacheFile, SummaryStore, TransferStore};
 use hetsep_sched::{run_batch, BatchConfig, Job};
 use hetsep_core::ModeKind;
 
@@ -78,4 +78,42 @@ fn corrupt_bytes_are_rejected() {
     let mut magic = bytes;
     magic[0] ^= 0xff;
     assert!(TransferStore::from_bytes(&magic).is_err());
+}
+
+/// Crafted and truncated cache files decode to an error — never a panic on
+/// an overflowing length or an abort on an untrusted allocation size.
+#[test]
+fn corrupt_cache_files_are_rejected_without_panicking() {
+    // A container whose transfer-section length overflows the read cursor.
+    let mut overflow = b"HSEPWS02".to_vec();
+    overflow.extend_from_slice(&0xFFFF_FFFF_FFFF_FFF0u64.to_le_bytes());
+    overflow.extend_from_slice(&[0; 4]);
+    // A bare transfer store whose one structure claims 2^32 - 1 words.
+    let mut huge = b"HSEPTC01".to_vec();
+    for v in [0u32, 0, 1, 0, u32::MAX] {
+        huge.extend_from_slice(&v.to_le_bytes());
+    }
+    for crafted in [&overflow, &huge] {
+        assert_eq!(
+            CacheFile::from_bytes(crafted).unwrap_err(),
+            "truncated store"
+        );
+    }
+
+    let mut cache = CacheFile::new();
+    run_batch(
+        &jobs(),
+        &BatchConfig::default(),
+        &mut cache.transfers,
+        &mut cache.summaries,
+    );
+    let bytes = cache.to_bytes();
+    assert!(CacheFile::from_bytes(&bytes).is_ok());
+    for len in 0..bytes.len() {
+        assert!(
+            CacheFile::from_bytes(&bytes[..len]).is_err(),
+            "a {len}-byte prefix of a {}-byte container decoded",
+            bytes.len()
+        );
+    }
 }

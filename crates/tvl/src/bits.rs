@@ -178,34 +178,19 @@ pub fn for_each_set(words: &[u64], mut f: impl FnMut(usize)) {
 // 4×`u64` blocks — 256 lanes per loop iteration — with a scalar remainder
 // loop for the last `len % 4` words. Unrolling gives the optimizer four
 // independent dependency chains per iteration, which is what lets it keep
-// the ALU ports (or, with the `simd` feature on an AVX2 host, the 256-bit
-// vector units) busy. Semantics are defined by the per-word identities: each
+// the ALU ports busy. Semantics are defined by the per-word identities: each
 // block kernel must be lane-for-lane equal to mapping its `*_word` primitive
 // over the row, which the property tests in `tests/properties.rs` check
-// exhaustively for every operand pair in every lane, on both the unrolled
-// and the SIMD paths.
+// exhaustively for every operand pair in every lane.
 
 /// Words per unrolled block (4 × 64 = 256 lanes per iteration).
 pub const BLOCK_WORDS: usize = 4;
-
-/// Minimum row length (words) for the AVX2 dispatch. Below this the
-/// per-call feature probe and the non-inlinable `#[target_feature]` call
-/// cost more than the vector ops save, so short rows always take the
-/// unrolled path.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-const SIMD_MIN_WORDS: usize = 2 * BLOCK_WORDS;
 
 /// Bitwise OR of `src` into `dst` (the Warshall closure inner union), block
 /// at a time.
 #[inline]
 pub fn or_into(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if dst.len() >= SIMD_MIN_WORDS && is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 availability checked at runtime.
-        unsafe { simd::or_into_avx2(dst, src) };
-        return;
-    }
     let mut d = dst.chunks_exact_mut(BLOCK_WORDS);
     let mut s = src.chunks_exact(BLOCK_WORDS);
     for (db, sb) in d.by_ref().zip(s.by_ref()) {
@@ -234,7 +219,7 @@ fn check_rows(t1: &[u64], h1: &[u64], t2: &[u64], h2: &[u64], to: &[u64], ho: &[
 }
 
 macro_rules! binary_row_kernel {
-    ($(#[$doc:meta])* $name:ident, $word:ident, $avx2:ident) => {
+    ($(#[$doc:meta])* $name:ident, $word:ident) => {
         $(#[$doc])*
         #[inline]
         pub fn $name(
@@ -246,12 +231,6 @@ macro_rules! binary_row_kernel {
             ho: &mut [u64],
         ) {
             check_rows(t1, h1, t2, h2, to, ho);
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if to.len() >= SIMD_MIN_WORDS && is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 availability checked at runtime.
-                unsafe { simd::$avx2(t1, h1, t2, h2, to, ho) };
-                return;
-            }
             let mut tob = to.chunks_exact_mut(BLOCK_WORDS);
             let mut hob = ho.chunks_exact_mut(BLOCK_WORDS);
             let mut t1b = t1.chunks_exact(BLOCK_WORDS);
@@ -286,20 +265,17 @@ macro_rules! binary_row_kernel {
 binary_row_kernel!(
     /// Row-wide Kleene conjunction: [`and_word`] over every word of the row.
     and_rows,
-    and_word,
-    and_rows_avx2
+    and_word
 );
 binary_row_kernel!(
     /// Row-wide Kleene disjunction: [`or_word`] over every word of the row.
     or_rows,
-    or_word,
-    or_rows_avx2
+    or_word
 );
 binary_row_kernel!(
     /// Row-wide information-order join: [`join_word`] over every word.
     join_rows,
-    join_word,
-    join_rows_avx2
+    join_word
 );
 
 /// Row-wide Kleene negation of an `n`-lane row ([`not_word`] per word, with
@@ -469,97 +445,6 @@ pub fn overlap_any(t1: &[u64], h1: &[u64], t2: &[u64], h2: &[u64]) -> bool {
         }
     }
     false
-}
-
-/// AVX2 realizations of the row kernels (the `simd` feature on x86-64
-/// hosts). Each function is lane-for-lane identical to its unrolled
-/// counterpart — the property tests run on whichever path the host
-/// dispatches to, and CI runs them with the feature both on and off.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    use std::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_andnot_si256, _mm256_loadu_si256, _mm256_or_si256,
-        _mm256_storeu_si256, _mm256_xor_si256,
-    };
-
-    #[inline]
-    unsafe fn load(s: &[u64], w: usize) -> __m256i {
-        _mm256_loadu_si256(s.as_ptr().add(w) as *const __m256i)
-    }
-
-    #[inline]
-    unsafe fn store(s: &mut [u64], w: usize, v: __m256i) {
-        _mm256_storeu_si256(s.as_mut_ptr().add(w) as *mut __m256i, v)
-    }
-
-    macro_rules! avx2_binary_kernel {
-        ($name:ident, $word:ident, |$t1:ident, $h1:ident, $t2:ident, $h2:ident| ($te:expr, $he:expr)) => {
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $name(
-                t1: &[u64],
-                h1: &[u64],
-                t2: &[u64],
-                h2: &[u64],
-                to: &mut [u64],
-                ho: &mut [u64],
-            ) {
-                let len = to.len();
-                let blocks = len - len % super::BLOCK_WORDS;
-                let mut w = 0;
-                while w < blocks {
-                    let $t1 = load(t1, w);
-                    let $h1 = load(h1, w);
-                    let $t2 = load(t2, w);
-                    let $h2 = load(h2, w);
-                    store(to, w, $te);
-                    store(ho, w, $he);
-                    w += super::BLOCK_WORDS;
-                }
-                while w < len {
-                    let (a, b) = super::$word(t1[w], h1[w], t2[w], h2[w]);
-                    to[w] = a;
-                    ho[w] = b;
-                    w += 1;
-                }
-            }
-        };
-    }
-
-    // t' = t1 & t2; h' = (t1|h1) & (t2|h2) & !t'
-    avx2_binary_kernel!(and_rows_avx2, and_word, |at, ah, bt, bh| (
-        _mm256_and_si256(at, bt),
-        _mm256_andnot_si256(
-            _mm256_and_si256(at, bt),
-            _mm256_and_si256(_mm256_or_si256(at, ah), _mm256_or_si256(bt, bh))
-        )
-    ));
-    // t' = t1 | t2; h' = (h1|h2) & !t'
-    avx2_binary_kernel!(or_rows_avx2, or_word, |at, ah, bt, bh| (
-        _mm256_or_si256(at, bt),
-        _mm256_andnot_si256(_mm256_or_si256(at, bt), _mm256_or_si256(ah, bh))
-    ));
-    // t' = t1 & t2; h' = (t1^t2) | h1 | h2
-    avx2_binary_kernel!(join_rows_avx2, join_word, |at, ah, bt, bh| (
-        _mm256_and_si256(at, bt),
-        _mm256_or_si256(_mm256_xor_si256(at, bt), _mm256_or_si256(ah, bh))
-    ));
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn or_into_avx2(dst: &mut [u64], src: &[u64]) {
-        let len = dst.len();
-        let blocks = len - len % super::BLOCK_WORDS;
-        let mut w = 0;
-        while w < blocks {
-            let d = load(dst, w);
-            let s = load(src, w);
-            store(dst, w, _mm256_or_si256(d, s));
-            w += super::BLOCK_WORDS;
-        }
-        while w < len {
-            dst[w] |= src[w];
-            w += 1;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -462,8 +462,7 @@ fn word_kernels_match_scalar_truth_tables_in_every_lane() {
 /// The wide-lane block kernels are lane-for-lane the word kernels: every
 /// operand pair planted in every lane of a row spanning one full unrolled
 /// block plus a scalar remainder, and each row result must equal mapping the
-/// word kernel over the row. With `--features simd` on an AVX2 host the same
-/// assertions pin the vector dispatch against the same scalar reference.
+/// word kernel over the row.
 #[test]
 fn block_kernels_match_word_kernels_in_every_lane() {
     use hetsep_tvl::bits;

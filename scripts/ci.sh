@@ -10,17 +10,13 @@ cargo test -q
 # Word-parallel Kleene kernels: the exhaustive truth-table identities and
 # stride-padding leak checks must also pass under release codegen (the
 # bit-twiddling kernels are exactly what optimization rewrites hardest).
-# The block (4x u64 unrolled) kernel paths run twice: once on the portable
-# code and once with the `simd` feature's AVX2 dispatch enabled — both must
-# agree with the per-word kernels lane for lane.
-for features in "" "--features simd"; do
-    # shellcheck disable=SC2086
-    cargo test -q -p hetsep-tvl --release $features --test properties -- \
-        word_kernels_match_scalar_truth_tables_in_every_lane \
-        stride_padding_bits_never_leak \
-        block_kernels_match_word_kernels_in_every_lane \
-        block_scan_kernels_respect_stride_padding
-done
+# The block (4x u64 unrolled) kernels must agree with the per-word kernels
+# lane for lane.
+cargo test -q -p hetsep-tvl --release --test properties -- \
+    word_kernels_match_scalar_truth_tables_in_every_lane \
+    stride_padding_bits_never_leak \
+    block_kernels_match_word_kernels_in_every_lane \
+    block_scan_kernels_respect_stride_padding
 cargo test -q -p hetsep-tvl --release --test bulk_grow
 
 # Scheduler determinism matrix: the scenario-suite byte-identity contracts
@@ -98,6 +94,29 @@ cargo run -q -p hetsep --bin hetsep --release -- \
     corpus --jobs 50 --seed 42 --workers 4 --cache "$corpus_cache" --quiet \
     | diff -u scripts/corpus_quick.golden -
 rm -f "$corpus_cache"
+
+# Corrupt-cache gate: crafted cache files must be rejected in-band (exit 2
+# with the decoder's message), never with a panic (101) or an allocation
+# abort (134). The first is a container whose section length overflows the
+# read cursor; the second a bare transfer store claiming a 2^32-word
+# structure. `hetsep serve --cache` loads through the same decoder.
+corrupt_cache="$(mktemp)"
+corrupt_stderr="$(mktemp)"
+for crafted in \
+    'HSEPWS02\xf0\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00' \
+    'HSEPTC01\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff'; do
+    printf "$crafted" > "$corrupt_cache"
+    status=0
+    cargo run -q -p hetsep --bin hetsep --release -- \
+        corpus --jobs 1 --cache "$corrupt_cache" --quiet \
+        > /dev/null 2> "$corrupt_stderr" || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q "^error: truncated store$" "$corrupt_stderr"; then
+        echo "corrupt cache not rejected in-band (exit $status):" >&2
+        cat "$corrupt_stderr" >&2
+        exit 1
+    fi
+done
+rm -f "$corrupt_cache" "$corrupt_stderr"
 
 # Verification-daemon smoke gate: a canned NDJSON session (load a buggy
 # program, verify cold, re-verify warm, load the edited fix, re-verify,
