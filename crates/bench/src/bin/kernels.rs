@@ -1,16 +1,24 @@
 //! Kernel microbenchmarks: scalar per-node reference kernels vs the
 //! word-parallel two-plane kernels, at universe sizes n ∈ {4, 16, 64, 256}.
 //!
-//! The scalar baselines reimplement the pre-bit-packing kernels on top of
-//! the public accessor API — one `Kleene` probe per node or per pair,
-//! exactly the loops the library ran before truth values were packed into
-//! `u64` plane words:
+//! The scalar baselines evaluate one `Kleene` value per node or per pair
+//! through the public accessor API — the loops the library ran before truth
+//! values were packed into `u64` plane words and formulas were evaluated a
+//! row at a time. Formula baselines use the naive per-node reference
+//! evaluator shared with the tvl tests (`crates/tvl/tests/reference`):
 //!
 //! * **eval-sweep** — `∃v. b(v)` and a bound-source row sweep `∃w. f(u, w)`
-//!   evaluated at every node. The word path folds whole plane words
-//!   (`quantifier_fold`); the scalar path is forced through the generic
-//!   per-node loop by double-negating the atom (`¬¬` has no plane fast
-//!   path and is a no-op on the result).
+//!   evaluated at every node: the reference evaluator vs `eval_memo`, whose
+//!   quantifiers fold whole rows.
+//! * **coerce-sweep** — coerce of a structure whose instrumentation values
+//!   are all `1/2` (one sharpening sweep, one confirming sweep): the
+//!   reference node-by-node coerce vs `coerce_with`, which reconciles each
+//!   rule a row at a time.
+//! * **derived-update** — an action whose only effect is an iterated,
+//!   refining derived update (`r(v) := b(v) ∨ ∃w. g(v, w) ∧ r(w)`, the shape
+//!   of transitive relevance): per-node evaluation over a snapshot per round
+//!   vs `apply`, which stages whole rows (its two coerce passes have no
+//!   constraints to check in this vocabulary).
 //! * **tc-closure** — transitive closure of a field predicate (computed
 //!   fresh each repetition, one entry read). The word path runs the boolean
 //!   Warshall closure over both planes (O(n³/64) word ops); the scalar path
@@ -32,12 +40,17 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use hetsep::tvl::action::{apply, Action, PredUpdate};
 use hetsep::tvl::bits;
+use hetsep::tvl::coerce::{coerce_with, CoercePlan};
 use hetsep::tvl::eval::{eval_memo, Assignment, TcMemo};
 use hetsep::tvl::formula::{Formula, Var};
 use hetsep::tvl::pred::{PredFlags, PredId, PredTable};
-use hetsep::tvl::structure::Structure;
-use hetsep::tvl::Kleene;
+use hetsep::tvl::structure::{NodeId, Structure};
+use hetsep::tvl::{Kleene, DEFAULT_FOCUS_LIMIT};
+
+#[path = "../../../tvl/tests/reference/mod.rs"]
+mod reference;
 
 const SIZES: [usize; 4] = [4, 16, 64, 256];
 const REPS: usize = 9;
@@ -159,20 +172,82 @@ fn scalar_eq(a: &Structure, b: &Structure, table: &PredTable, bp: PredId, f: Pre
         })
 }
 
+/// Scalar reference of the derived update `up` (unary, refining, iterated):
+/// each round evaluates the right-hand side node by node over a snapshot of
+/// the previous round and writes the values, until a round changes nothing.
+fn scalar_derived(s: &Structure, table: &PredTable, up: &PredUpdate) -> Structure {
+    let mut post = s.clone();
+    for _ in 0..=s.node_count() {
+        let snapshot = post.clone();
+        for u in snapshot.nodes() {
+            let mut env = vec![(up.args[0], u)];
+            let mut val = reference::reference_eval(&snapshot, table, &up.rhs, &mut env);
+            if up.refine && !val.is_definite() {
+                val = snapshot.unary(table, up.pred, u);
+            }
+            post.set_unary(table, up.pred, u, val);
+        }
+        if post == snapshot {
+            break;
+        }
+    }
+    post
+}
+
+/// The coerce-sweep and derived-update vocabulary: a boolean field `b`, a
+/// plain relation `g`, and either two instrumentation predicates over them
+/// (`i0(v) = b(v) ∧ ∃w. g(v, w)`, `i1(v) = ∀w. g(w, v) → b(w)`) or a plain
+/// unary `r` for the derived update. Returns the table, `b`, `g`, and the
+/// added unary predicates.
+fn rule_vocab(instrumented: bool) -> (PredTable, PredId, PredId, Vec<PredId>) {
+    let mut table = PredTable::new();
+    let b = table.add_unary("b", PredFlags::boolean_field());
+    let g = table.add_binary("g", PredFlags::default());
+    let (v, w) = (Var(0), Var(1));
+    let extra = if instrumented {
+        let defs = [
+            Formula::unary(b, v).and(Formula::exists(w, Formula::binary(g, v, w))),
+            Formula::forall(w, Formula::binary(g, w, v).implies(Formula::unary(b, w))),
+        ];
+        defs.into_iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let flags = PredFlags { defining: Some(d), ..PredFlags::default() };
+                table.add_unary(&format!("i{i}"), flags)
+            })
+            .collect()
+    } else {
+        vec![table.add_unary("r", PredFlags::default())]
+    };
+    (table, b, g, extra)
+}
+
 fn main() {
     let mut table = PredTable::new();
     let b = table.add_unary("b", PredFlags::boolean_field());
     let f = table.add_binary("f", PredFlags::reference_field());
 
     let (v0, v1, va, vb) = (Var(0), Var(1), Var(2), Var(3));
-    // Word path: plane-foldable atoms. Scalar path: the same formulas with a
-    // double-negated atom, which bypasses the fold and runs the generic
-    // per-node loop (identical results).
-    let exists_fast = Formula::exists(v0, Formula::unary(b, v0));
-    let exists_slow = Formula::exists(v0, Formula::not(Formula::not(Formula::unary(b, v0))));
-    let row_fast = Formula::exists(v1, Formula::binary(f, v0, v1));
-    let row_slow = Formula::exists(v1, Formula::not(Formula::not(Formula::binary(f, v0, v1))));
+    let exists_unary = Formula::exists(v0, Formula::unary(b, v0));
+    let exists_row = Formula::exists(v1, Formula::binary(f, v0, v1));
     let tc_formula = Formula::tc(v0, v1, va, vb, Formula::binary(f, va, vb));
+
+    let (coerce_table, cb, cg, insts) = rule_vocab(true);
+    let plan = CoercePlan::new(&coerce_table);
+    let (derived_table, db, dg, rel) = rule_vocab(false);
+    let rel = rel[0];
+    let derived_action = Action {
+        name: "relevance".into(),
+        derived: vec![PredUpdate::unary_closure(
+            rel,
+            v0,
+            Formula::unary(db, v0).or(Formula::exists(
+                v1,
+                Formula::binary(dg, v0, v1).and(Formula::unary(rel, v1)),
+            )),
+        )],
+        ..Action::default()
+    };
 
     println!("| kernel | n | scalar | word-parallel | speedup |");
     println!("|---|---|---|---|---|");
@@ -181,25 +256,52 @@ fn main() {
         let ids: Vec<_> = s.nodes().collect();
 
         // eval-sweep: both exists shapes at every node.
-        let sweep = |unary: &Formula, binary: &Formula| {
+        let scalar = best_ns(|| {
+            let mut acc = Kleene::False;
+            for &u in &ids {
+                let mut env = vec![(v0, u)];
+                acc = acc | reference::reference_eval(&s, &table, &exists_row, &mut env);
+                acc = acc | reference::reference_eval(&s, &table, &exists_unary, &mut Vec::new());
+            }
+            black_box(acc);
+        });
+        let word = best_ns(|| {
             let mut memo = TcMemo::new();
             let mut asg = Assignment::new();
             let mut acc = Kleene::False;
             for &u in &ids {
                 asg.bind(v0, u);
-                acc = acc | eval_memo(&s, &table, binary, &mut asg, &mut memo);
+                acc = acc | eval_memo(&s, &table, &exists_row, &mut asg, &mut memo);
                 asg.unbind(v0);
-                acc = acc | eval_memo(&s, &table, unary, &mut asg, &mut memo);
+                acc = acc | eval_memo(&s, &table, &exists_unary, &mut asg, &mut memo);
             }
-            black_box(acc)
-        };
-        let scalar = best_ns(|| {
-            sweep(&exists_slow, &row_slow);
-        });
-        let word = best_ns(|| {
-            sweep(&exists_fast, &row_fast);
+            black_box(acc);
         });
         row("eval-sweep", n, scalar, word);
+
+        // coerce-sweep: every instrumentation value 1/2, so the first sweep
+        // sharpens and the second confirms.
+        let mut cs = build(&coerce_table, cb, cg, n);
+        for &i in &insts {
+            cs.fill_unary(&coerce_table, i, Kleene::Unknown);
+        }
+        let scalar = best_ns(|| {
+            black_box(reference::reference_coerce(&cs, &coerce_table));
+        });
+        let word = best_ns(|| {
+            black_box(coerce_with(&cs, &coerce_table, &plan));
+        });
+        row("coerce-sweep", n, scalar, word);
+
+        // derived-update: relevance propagated to its fixpoint.
+        let ds = build(&derived_table, db, dg, n);
+        let scalar = best_ns(|| {
+            black_box(scalar_derived(&ds, &derived_table, &derived_action.derived[0]));
+        });
+        let word = best_ns(|| {
+            black_box(apply(&derived_action, &ds, &derived_table, DEFAULT_FOCUS_LIMIT));
+        });
+        row("derived-update", n, scalar, word);
 
         // tc-closure: compute the full closure, read one entry. A fresh memo
         // per repetition forces the word path to actually run the boolean

@@ -21,7 +21,7 @@
 //! blurs when joining into a program location.
 
 use crate::coerce::{coerce_with, CoercePlan};
-use crate::eval::{eval_closed, eval_memo, Assignment, TcMemo};
+use crate::eval::{eval_closed, eval_row_word, Assignment, TcMemo};
 use crate::focus::{focus_all, FocusSpec};
 use crate::formula::{Formula, Var};
 use crate::kleene::Kleene;
@@ -252,35 +252,43 @@ pub fn apply_planned(
 }
 
 /// Applies allocation and updates (steps 5–8) without focus/checks.
+///
+/// Every update is evaluated as whole rows ([`eval_row_word`]) into a
+/// staging buffer and only then written, so no update reads a value written
+/// by the updates it is evaluated with, and no structure is cloned beyond
+/// the output itself.
 fn transform(action: &Action, pre: &Structure, table: &PredTable) -> Structure {
-    let mut staged = pre.clone();
+    let mut post = pre.clone();
     if action.new_node.is_some() {
-        let fresh = staged.add_node(table);
-        staged.set_unary(table, table.isnew(), fresh, Kleene::True);
+        let fresh = post.add_node(table);
+        post.set_unary(table, table.isnew(), fresh, Kleene::True);
     }
-    // Core updates: all RHS evaluated over `staged` (the pre-state plus the
-    // fresh node), results written into `post`. One TC memo spans all core
-    // updates — they all read the same fixed `staged`.
-    let mut post = staged.clone();
+    // Core updates: every RHS evaluated over the pre-state plus the fresh
+    // node, then all written — a simultaneous assignment. One TC memo spans
+    // them, since they all read the same fixed structure.
     let mut memo = TcMemo::new();
+    let mut rows = Vec::new();
+    let mut starts = Vec::with_capacity(action.updates.len());
     for up in &action.updates {
-        write_update(&staged, &mut post, table, up, &mut memo);
+        starts.push(rows.len());
+        stage_update(&post, table, up, &mut memo, &mut rows);
     }
-    // Derived updates: evaluated sequentially over the evolving post-state,
-    // so each round's snapshot needs a fresh memo.
+    for (up, &at) in action.updates.iter().zip(&starts) {
+        write_staged(&mut post, table, up.pred, &rows[at..]);
+    }
+    // Derived updates: evaluated sequentially over the evolving post-state.
+    // An iterated update re-evaluates against its previous round's values
+    // until its predicate stops changing (bounded by the universe size).
     for up in &action.derived {
-        let rounds = if up.iterate {
-            post.node_count() + 1
-        } else {
-            1
-        };
+        let rounds = if up.iterate { post.node_count() + 1 } else { 1 };
         for _ in 0..rounds {
-            let snapshot = post.clone();
             memo.clear();
-            write_update(&snapshot, &mut post, table, up, &mut memo);
-            if post == snapshot {
+            rows.clear();
+            stage_update(&post, table, up, &mut memo, &mut rows);
+            if up.iterate && staged_is_stored(&post, table, up.pred, &rows) {
                 break;
             }
+            write_staged(&mut post, table, up.pred, &rows);
         }
     }
     // Clear the allocation marker: a whole-plane word fill rather than a
@@ -291,13 +299,17 @@ fn transform(action: &Action, pre: &Structure, table: &PredTable) -> Structure {
     post
 }
 
-fn write_update(
+/// Appends the new value of `up`'s predicate, evaluated over `src`, to
+/// `rows` as `(t, h)` word pairs: one pair for a nullary predicate, one row
+/// of pairs for a unary one, and one row per source for a binary one.
+fn stage_update(
     src: &Structure,
-    dst: &mut Structure,
     table: &PredTable,
     up: &PredUpdate,
     memo: &mut TcMemo,
+    rows: &mut Vec<u64>,
 ) {
+    let mut asg = Assignment::new();
     match table.arity(up.pred) {
         Arity::Nullary => {
             assert!(up.args.is_empty(), "nullary update takes no args");
@@ -305,37 +317,69 @@ fn write_update(
             if up.refine && !v.is_definite() {
                 v = src.nullary(table, up.pred);
             }
-            dst.set_nullary(table, up.pred, v);
+            rows.extend(nullary_pair(v));
         }
         Arity::Unary => {
             let [v] = up.args.as_slice() else {
                 panic!("unary update needs exactly one formal arg");
             };
-            let mut asg = Assignment::new();
-            for u in src.nodes() {
-                asg.bind(*v, u);
-                let mut val = eval_memo(src, table, &up.rhs, &mut asg, memo);
-                if up.refine && !val.is_definite() {
-                    val = src.unary(table, up.pred, u);
+            let (stored_t, stored_h) = src.unary_planes(table.slot(up.pred));
+            for w in 0..src.stride_words() {
+                let (mut t, mut h) = eval_row_word(src, table, &up.rhs, *v, w, &mut asg, memo);
+                if up.refine {
+                    // An indefinite evaluation keeps the stored value.
+                    t |= h & stored_t[w];
+                    h &= stored_h[w];
                 }
-                dst.set_unary(table, up.pred, u, val);
+                rows.extend([t, h]);
             }
         }
         Arity::Binary => {
             let [v, w] = up.args.as_slice() else {
                 panic!("binary update needs exactly two formal args");
             };
-            let mut asg = Assignment::new();
             for a in src.nodes() {
-                for b in src.nodes() {
-                    asg.bind(*v, a);
-                    asg.bind(*w, b);
-                    let val = eval_memo(src, table, &up.rhs, &mut asg, memo);
-                    dst.set_binary(table, up.pred, a, b, val);
+                asg.bind(*v, a);
+                for word in 0..src.stride_words() {
+                    let (t, h) = eval_row_word(src, table, &up.rhs, *w, word, &mut asg, memo);
+                    rows.extend([t, h]);
                 }
             }
         }
     }
+}
+
+/// Whether the rows staged by [`stage_update`] equal `p`'s value in `s`.
+fn staged_is_stored(s: &Structure, table: &PredTable, p: PredId, rows: &[u64]) -> bool {
+    let (t, h) = match table.arity(p) {
+        Arity::Nullary => return rows[..2] == nullary_pair(s.nullary(table, p)),
+        Arity::Unary => s.unary_planes(table.slot(p)),
+        Arity::Binary => s.binary_slot_planes(table.slot(p)),
+    };
+    rows.len() == 2 * t.len()
+        && rows.chunks_exact(2).zip(t.iter().zip(h)).all(|(pair, (&t, &h))| pair == [t, h])
+}
+
+/// Writes rows staged by [`stage_update`] (a prefix of `rows`) into `dst`.
+fn write_staged(dst: &mut Structure, table: &PredTable, p: PredId, rows: &[u64]) {
+    let slot = table.slot(p);
+    let (t, h) = match table.arity(p) {
+        Arity::Nullary => {
+            let v = Kleene::from_bits(rows[0] != 0, rows[1] != 0);
+            return dst.set_nullary(table, p, v);
+        }
+        Arity::Unary => dst.unary_planes_mut(slot),
+        Arity::Binary => dst.binary_slot_planes_mut(slot),
+    };
+    for ((pair, t), h) in rows.chunks_exact(2).zip(t).zip(h) {
+        (*t, *h) = (pair[0], pair[1]);
+    }
+}
+
+/// A nullary value as a staged `(t, h)` word pair.
+fn nullary_pair(v: Kleene) -> [u64; 2] {
+    let (t, h) = v.to_bits();
+    [t as u64, h as u64]
 }
 
 #[cfg(test)]

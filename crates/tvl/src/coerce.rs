@@ -26,7 +26,7 @@
 //! fresh plan per call and is equivalent.
 
 use crate::bits;
-use crate::eval::{eval_closed, eval_memo, Assignment, TcMemo};
+use crate::eval::{eval_closed, eval_row_word, Assignment, TcMemo};
 use crate::formula::{Formula, Var};
 use crate::kleene::Kleene;
 use crate::pred::{Arity, PredId, PredTable};
@@ -79,6 +79,11 @@ pub struct CoercePlan {
 impl CoercePlan {
     /// Compiles the constraint lists for `table`. The plan is only valid for
     /// structures over the same vocabulary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an instrumentation predicate's defining formula mentions the
+    /// predicate itself.
     pub fn new(table: &PredTable) -> Self {
         let unique = table.unique_preds();
         let function = table.function_preds();
@@ -91,6 +96,16 @@ impl CoercePlan {
                     .defining
                     .clone()
                     .expect("instrumentation_preds filtered on defining");
+                // Whole-row sharpening (`apply_instrumentation`) equals a
+                // node-by-node sweep only when a definition does not read the
+                // predicate it defines.
+                assert!(
+                    !defining.mentions_pred(p),
+                    "instrumentation predicate `{}` is defined in terms of itself: \
+                     coerce sharpens a whole row at once, which needs a defining \
+                     formula that does not read its own predicate",
+                    table.name(p)
+                );
                 let arity = table.arity(p);
                 let free = defining.free_vars();
                 let (va, vb) = match arity {
@@ -234,61 +249,64 @@ fn apply_function(
 /// Stored instrumentation-predicate values must be consistent with their
 /// defining formulas; definite evaluations sharpen stored `1/2`s, and
 /// definite disagreements make the structure infeasible.
+///
+/// Each rule is reconciled a whole row (64 nodes) per word: the rule's
+/// defining formula is evaluated as a row ([`eval_row_word`]) and compared
+/// with the stored planes by two masks. Because no defining formula reads
+/// its own predicate (asserted by [`CoercePlan::new`]), sharpening a row
+/// cannot change the evaluation of the rest of it, so this equals a
+/// node-by-node sweep.
 fn apply_instrumentation(
     s: &mut Structure,
     table: &PredTable,
     plan: &CoercePlan,
     changed: &mut bool,
 ) -> bool {
-    // TC matrices are shared across rules and nodes while `s` is unchanged;
+    // TC matrices are shared across rules and rows while `s` is unchanged;
     // every sharpening write invalidates them (see `TcMemo`).
     let mut memo = TcMemo::new();
+    let mut asg = Assignment::new();
+    let n = s.node_count();
     for rule in &plan.instr {
         let p = rule.pred;
         match rule.arity {
             Arity::Nullary => {
-                let stored = s.nullary(table, p);
-                let evaled = eval_closed(s, table, &rule.defining);
-                match reconcile(stored, evaled) {
-                    Reconciled::Conflict => return false,
-                    Reconciled::Sharpen(v) => {
-                        s.set_nullary(table, p, v);
-                        memo.clear();
-                        *changed = true;
-                    }
-                    Reconciled::Keep => {}
+                let (t, h) = s.nullary(table, p).to_bits();
+                let (et, eh) = eval_closed(s, table, &rule.defining).to_bits();
+                let (mut t, mut h) = (t as u64, h as u64);
+                let Some(sharpened) = reconcile_word(&mut t, &mut h, et as u64, eh as u64, 1)
+                else {
+                    return false;
+                };
+                if sharpened {
+                    s.set_nullary(table, p, Kleene::from_bits(t != 0, h != 0));
+                    memo.clear();
+                    *changed = true;
                 }
             }
-            Arity::Unary => {
-                for u in s.nodes() {
-                    let stored = s.unary(table, p, u);
-                    let mut asg = Assignment::of([(rule.va, u)]);
-                    let evaled = eval_memo(s, table, &rule.defining, &mut asg, &mut memo);
-                    match reconcile(stored, evaled) {
-                        Reconciled::Conflict => return false,
-                        Reconciled::Sharpen(v) => {
-                            s.set_unary(table, p, u, v);
+            Arity::Unary | Arity::Binary => {
+                // A unary rule is one row in `va`; a binary rule is one row
+                // in `vb` per source bound to `va`.
+                let unary = rule.arity == Arity::Unary;
+                let (rows, lane) = if unary { (1, rule.va) } else { (n, rule.vb) };
+                let slot = table.slot(p);
+                for row in 0..rows {
+                    if !unary {
+                        asg.bind(rule.va, NodeId::from_index(row));
+                    }
+                    for w in 0..s.stride_words() {
+                        let (et, eh) =
+                            eval_row_word(s, table, &rule.defining, lane, w, &mut asg, &mut memo);
+                        let (t, h) =
+                            if unary { s.unary_planes_mut(slot) } else { s.binary_row_mut(slot, row) };
+                        let valid = bits::word_mask(n, w);
+                        let Some(sharpened) = reconcile_word(&mut t[w], &mut h[w], et, eh, valid)
+                        else {
+                            return false;
+                        };
+                        if sharpened {
                             memo.clear();
                             *changed = true;
-                        }
-                        Reconciled::Keep => {}
-                    }
-                }
-            }
-            Arity::Binary => {
-                for src in s.nodes() {
-                    for dst in s.nodes() {
-                        let stored = s.binary(table, p, src, dst);
-                        let mut asg = Assignment::of([(rule.va, src), (rule.vb, dst)]);
-                        let evaled = eval_memo(s, table, &rule.defining, &mut asg, &mut memo);
-                        match reconcile(stored, evaled) {
-                            Reconciled::Conflict => return false,
-                            Reconciled::Sharpen(v) => {
-                                s.set_binary(table, p, src, dst, v);
-                                memo.clear();
-                                *changed = true;
-                            }
-                            Reconciled::Keep => {}
                         }
                     }
                 }
@@ -298,19 +316,18 @@ fn apply_instrumentation(
     true
 }
 
-enum Reconciled {
-    Conflict,
-    Sharpen(Kleene),
-    Keep,
-}
-
-fn reconcile(stored: Kleene, evaled: Kleene) -> Reconciled {
-    match (stored, evaled) {
-        (a, b) if a == b => Reconciled::Keep,
-        (Kleene::Unknown, v) if v.is_definite() => Reconciled::Sharpen(v),
-        (_, Kleene::Unknown) => Reconciled::Keep,
-        _ => Reconciled::Conflict, // both definite and different
+/// Reconciles 64 stored lanes `(t, h)` with their evaluated definitions
+/// `(et, eh)`. A valid lane where both are definite and differ is a conflict
+/// (`None`); otherwise every stored `1/2` lane with a definite evaluation is
+/// sharpened to it in place, and the result says whether any was.
+fn reconcile_word(t: &mut u64, h: &mut u64, et: u64, eh: u64, valid: u64) -> Option<bool> {
+    if valid & !*h & !eh & (*t ^ et) != 0 {
+        return None;
     }
+    let sharpen = *h & !eh;
+    *t |= sharpen & et;
+    *h &= !sharpen;
+    Some(sharpen != 0)
 }
 
 #[cfg(test)]
@@ -461,6 +478,21 @@ mod tests {
         let out = coerce(&s, &t).feasible().unwrap();
         assert_eq!(out.unary(&t, inst, a), Kleene::True);
         assert_eq!(out.unary(&t, inst, b), Kleene::False);
+    }
+
+    #[test]
+    #[should_panic(expected = "defined in terms of itself")]
+    fn self_referential_definition_is_rejected() {
+        let (mut t, x, f) = table();
+        let inst = t.add_unary("inst", PredFlags::default());
+        // inst(v) = x(v) ∨ ∃w. f(v, w) ∧ inst(w)
+        let (v, w) = (Var(0), Var(1));
+        let defining = Formula::unary(x, v).or(Formula::exists(
+            w,
+            Formula::binary(f, v, w).and(Formula::unary(inst, w)),
+        ));
+        t.set_flags(inst, PredFlags { defining: Some(defining), ..PredFlags::default() });
+        let _ = CoercePlan::new(&t);
     }
 
     #[test]

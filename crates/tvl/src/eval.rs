@@ -8,20 +8,34 @@
 //! `⊑`-below the abstract one (soundness — see the embedding tests in
 //! [`crate::embed`]).
 //!
-//! # Word-parallel kernels
+//! # Row evaluation
 //!
-//! Two hot paths run directly on the two-plane bit representation of
-//! [`Structure`] (see [`crate::bits`]):
+//! Most evaluation runs on the two-plane bit representation of
+//! [`Structure`] (see [`crate::bits`]), one *row* at a time: [`eval_row`]
+//! evaluates a formula at every node for one free *lane* variable, 64 nodes
+//! per `(t, h)` word pair.
 //!
-//! * **Quantifier folds** over an atomic body (`∃v. p(v)`, `∀v. ¬p(v)`,
-//!   `∃v. f(u, v)`, …) reduce to plane emptiness tests — `any t bit` /
-//!   `any h bit` / `any valid zero lane` — instead of an `n`-step
-//!   evaluation loop.
-//! * **Transitive closure** decomposes into two *boolean* closures: a path
-//!   is `True` iff some path uses only `True` edges, and `≠ False` iff some
-//!   path uses only `≠ False` edges. Each boolean closure is a bit-matrix
-//!   Warshall pass whose inner step or-s whole 64-lane words, dropping the
-//!   fixpoint from O(n³) element steps to O(n³/64) word steps.
+//! * An atom over the lane is a plane or row copy (`p(v)`, `f(u, v)`), a
+//!   column gather (`f(v, u)`) or a diagonal gather (`f(v, v)`); `v == v`
+//!   reads the `sm` plane; an atom without the lane is broadcast.
+//! * `¬`, `∧`, `∨` are the word kernels; a left operand that already decides
+//!   every lane that matters short-circuits the right one.
+//! * `∃w`/`∀w` over another variable fold the body's rows over `w` — or,
+//!   when the body reads an edge from the lane to `w` (whose lane row would
+//!   be built from column gathers), fold per lane over rows of `w`.
+//! * `Tc` over the lane evaluates per lane, sharing the closure through the
+//!   [`TcMemo`].
+//!
+//! Scalar quantifiers ([`eval_memo`] on `∃v. φ`) fold the row of `φ` in `v`
+//! instead of looping over nodes, and transitive closure builds its step
+//! relation one row per source. Rows longer than 64 lanes are evaluated one
+//! word at a time by the same kernel, so no path allocates.
+//!
+//! Transitive closure decomposes into two *boolean* closures: a path is
+//! `True` iff some path uses only `True` edges, and `≠ False` iff some path
+//! uses only `≠ False` edges. Each boolean closure is a bit-matrix Warshall
+//! pass whose inner step or-s whole 64-lane words, dropping the fixpoint
+//! from O(n³) element steps to O(n³/64) word steps.
 
 use crate::bits;
 use crate::formula::{Formula, Var};
@@ -228,54 +242,24 @@ pub fn eval_memo(
             }
             lv | eval_memo(s, table, r, asg, memo)
         }
-        Formula::Exists(v, f) => {
-            if let Some(val) = quantifier_fold(s, table, *v, f, asg, Quant::Exists) {
-                return val;
-            }
-            let saved = asg.get(*v);
-            let mut acc = Kleene::False;
-            for u in s.nodes() {
-                asg.bind(*v, u);
-                acc = acc | eval_memo(s, table, f, asg, memo);
-                if acc == Kleene::True {
-                    break;
-                }
-            }
-            restore(asg, *v, saved);
-            acc
-        }
-        Formula::Forall(v, f) => {
-            if let Some(val) = quantifier_fold(s, table, *v, f, asg, Quant::Forall) {
-                return val;
-            }
-            let saved = asg.get(*v);
-            let mut acc = Kleene::True;
-            for u in s.nodes() {
-                asg.bind(*v, u);
-                acc = acc & eval_memo(s, table, f, asg, memo);
-                if acc == Kleene::False {
-                    break;
-                }
-            }
-            restore(asg, *v, saved);
-            acc
-        }
+        Formula::Exists(v, f) => fold_row(s, table, *v, f, asg, memo, Quant::Exists),
+        Formula::Forall(v, f) => fold_row(s, table, *v, f, asg, memo, Quant::Forall),
         Formula::Tc { lhs, rhs, a, b, body } => {
             let (u, v) = (asg.lookup(*lhs, formula), asg.lookup(*rhs, formula));
             #[cfg(debug_assertions)]
             memo.check_stamp(s);
             let key = &**body as *const Formula as usize;
-            if let Some((_, cached)) = memo.entries.iter().find(|(k, _)| *k == key) {
-                return match cached {
-                    Some(m) => m.get(u.index(), v.index()),
-                    // Closure depends on outer bindings: recompute.
-                    None => tc_closure(s, table, *a, *b, body, asg).get(u.index(), v.index()),
-                };
+            let cached = memo.entries.iter().position(|(k, _)| *k == key);
+            if let Some(Some(m)) = cached.map(|ix| &memo.entries[ix].1) {
+                return m.get(u.index(), v.index());
             }
-            let m = tc_closure(s, table, *a, *b, body, asg);
+            // Not cached yet, or the closure depends on outer bindings.
+            let m = tc_closure(s, table, *a, *b, body, asg, memo);
             let val = m.get(u.index(), v.index());
-            let cacheable = body.free_vars().iter().all(|fv| fv == a || fv == b);
-            memo.entries.push((key, cacheable.then_some(m)));
+            if cached.is_none() {
+                let cacheable = body.free_vars().iter().all(|fv| fv == a || fv == b);
+                memo.entries.push((key, cacheable.then_some(m)));
+            }
             val
         }
     }
@@ -294,101 +278,301 @@ enum Quant {
     Forall,
 }
 
-/// Folds a quantifier whose body is a (possibly negated) atom directly over
-/// the structure's bitplanes, avoiding the per-node evaluation loop.
+/// Folds `∃v. body` / `∀v. body` over the rows of `body` in `v`.
 ///
-/// Returns `None` when the body has no plane-level fast path (the caller then
-/// falls back to the generic loop), or when a variable the atom needs is not
-/// bound yet — the generic path produces the proper diagnostic.
-///
-/// The fold reproduces the loop's Kleene algebra exactly: for `∃` the result
+/// Reproduces the per-node loop's Kleene algebra exactly: for `∃` the result
 /// is `True` if any lane is `True`, else `Unknown` if any lane is `Unknown`,
 /// else `False`; `∀` dually. An empty universe folds to the connective's
-/// unit (`False` for `∃`, `True` for `∀`), matching the empty loop.
-fn quantifier_fold(
+/// unit (`False` for `∃`, `True` for `∀`).
+fn fold_row(
     s: &Structure,
     table: &PredTable,
     v: Var,
     body: &Formula,
-    asg: &Assignment,
+    asg: &mut Assignment,
+    memo: &mut TcMemo,
     q: Quant,
-) -> Option<Kleene> {
-    let (atom, negated) = match body {
-        Formula::Not(inner) => (&**inner, true),
-        other => (other, false),
-    };
-    match atom {
-        Formula::Unary(p, pv) if *pv == v && table.arity(*p) == Arity::Unary => {
-            let (t, h) = s.unary_planes(table.slot(*p));
-            Some(fold_planes(t, h, s.node_count(), negated, q))
+) -> Kleene {
+    let n = s.node_count();
+    let (mut has_t, mut has_h, mut has_f) = (false, false, false);
+    for word in 0..s.stride_words() {
+        let (t, h) = row_word(s, table, body, Lanes::new(v, word, n), asg, memo);
+        has_t |= t != 0;
+        has_h |= h != 0;
+        has_f |= bits::word_mask(n, word) & !(t | h) != 0;
+        // The decisive lane for this quantifier (True for ∃, False for ∀)
+        // fixes the result.
+        if (q == Quant::Exists && has_t) || (q == Quant::Forall && has_f) {
+            break;
         }
-        Formula::Binary(p, pa, pb)
-            if *pb == v && *pa != v && table.arity(*p) == Arity::Binary =>
-        {
-            let src = asg.get(*pa)?;
-            let (t, h) = s.binary_row(table.slot(*p), src.index());
-            Some(fold_planes(t, h, s.node_count(), negated, q))
-        }
-        Formula::Binary(p, pa, pb)
-            if *pa == v && *pb != v && table.arity(*p) == Arity::Binary =>
-        {
-            // Column fold: one bit probe per source row.
-            let dst = asg.get(*pb)?.index();
-            let slot = table.slot(*p);
-            let (mut has_t, mut has_h, mut has_f) = (false, false, false);
-            for src in 0..s.node_count() {
-                match s.get_b(slot, src, dst) {
-                    Kleene::True => has_t = true,
-                    Kleene::Unknown => has_h = true,
-                    Kleene::False => has_f = true,
-                }
-                // Stop as soon as the decisive lane for this quantifier
-                // appeared (True for ∃, False for ∀ — swapped when negated).
-                let decisive = match (q, negated) {
-                    (Quant::Exists, false) | (Quant::Forall, true) => has_t,
-                    (Quant::Exists, true) | (Quant::Forall, false) => has_f,
-                };
-                if decisive {
-                    break;
-                }
-            }
-            Some(decide(has_t, has_h, has_f, negated, q))
-        }
-        _ => None,
+    }
+    match q {
+        Quant::Exists if has_t => Kleene::True,
+        Quant::Forall if has_f => Kleene::False,
+        _ if has_h => Kleene::Unknown,
+        Quant::Exists => Kleene::False,
+        Quant::Forall => Kleene::True,
     }
 }
 
-/// Folds one plane row (`n` lanes) under a quantifier; see
-/// [`quantifier_fold`] for the semantics.
-fn fold_planes(t: &[u64], h: &[u64], n: usize, negated: bool, q: Quant) -> Kleene {
-    let has_t = bits::any_set(t);
-    let has_h = bits::any_set(h);
-    let has_f = bits::any_false(t, h, n);
-    decide(has_t, has_h, has_f, negated, q)
+/// One 64-lane word of a row: lanes `64 * word ..` of the lane variable
+/// `var`. `valid` masks the lanes that exist; `need` (a subset) the lanes
+/// whose value the enclosing formula still depends on. Lanes outside `need`
+/// may carry any value that keeps the `t & h == 0` and padding invariants.
+#[derive(Clone, Copy)]
+struct Lanes {
+    var: Var,
+    word: usize,
+    valid: u64,
+    need: u64,
 }
 
-/// Combines lane-presence flags into the quantifier's folded value.
-fn decide(has_t: bool, has_h: bool, has_f: bool, negated: bool, q: Quant) -> Kleene {
-    let (has_t, has_f) = if negated { (has_f, has_t) } else { (has_t, has_f) };
-    match q {
-        Quant::Exists => {
-            if has_t {
-                Kleene::True
-            } else if has_h {
-                Kleene::Unknown
+impl Lanes {
+    fn new(var: Var, word: usize, n: usize) -> Lanes {
+        let valid = bits::word_mask(n, word);
+        Lanes { var, word, valid, need: valid }
+    }
+
+    fn needing(self, need: u64) -> Lanes {
+        Lanes { need, ..self }
+    }
+
+    /// Node index of lane 0.
+    fn base(self) -> usize {
+        self.word * bits::WORD_BITS
+    }
+
+    /// The same value in every valid lane.
+    fn splat(self, k: Kleene) -> (u64, u64) {
+        match k {
+            Kleene::True => (self.valid, 0),
+            Kleene::Unknown => (0, self.valid),
+            Kleene::False => (0, 0),
+        }
+    }
+
+    /// The lane bit of `node`, or 0 when the node lies in another word.
+    fn bit(self, node: usize) -> u64 {
+        if node / bits::WORD_BITS == self.word {
+            1 << (node % bits::WORD_BITS)
+        } else {
+            0
+        }
+    }
+}
+
+/// Evaluates `formula` at every node for the free variable `lane`, writing
+/// the row's planes into `t` and `h` (`words_for(n)` words each; padding
+/// bits stay zero). Every other free variable must be bound in `asg`; a
+/// binding of `lane` itself is ignored. `memo` follows the [`TcMemo`]
+/// contract.
+///
+/// Equal, lane for lane, to [`eval_memo`] with `lane` bound to each node.
+///
+/// # Panics
+///
+/// Panics if the slices are not one row long, if another free variable is
+/// unbound, or if a predicate is applied at the wrong arity.
+#[allow(clippy::too_many_arguments)]
+pub fn eval_row(
+    s: &Structure,
+    table: &PredTable,
+    formula: &Formula,
+    lane: Var,
+    asg: &mut Assignment,
+    memo: &mut TcMemo,
+    t: &mut [u64],
+    h: &mut [u64],
+) {
+    let stride = s.stride_words();
+    assert!(t.len() == stride && h.len() == stride, "eval_row needs one row of planes");
+    for word in 0..stride {
+        (t[word], h[word]) = eval_row_word(s, table, formula, lane, word, asg, memo);
+    }
+}
+
+/// Word `word` of [`eval_row`]: the values at nodes `64 * word ..` as one
+/// `(t, h)` word pair. Rows of at most 64 nodes are exactly word 0, so
+/// sweeps over them run on plain `u64` values.
+pub(crate) fn eval_row_word(
+    s: &Structure,
+    table: &PredTable,
+    formula: &Formula,
+    lane: Var,
+    word: usize,
+    asg: &mut Assignment,
+    memo: &mut TcMemo,
+) -> (u64, u64) {
+    row_word(s, table, formula, Lanes::new(lane, word, s.node_count()), asg, memo)
+}
+
+fn row_word(
+    s: &Structure,
+    table: &PredTable,
+    formula: &Formula,
+    lanes: Lanes,
+    asg: &mut Assignment,
+    memo: &mut TcMemo,
+) -> (u64, u64) {
+    let w = lanes.word;
+    match formula {
+        Formula::Const(k) => lanes.splat(*k),
+        Formula::Nullary(p) => lanes.splat(s.nullary(table, *p)),
+        Formula::Unary(p, v) if *v == lanes.var => {
+            assert_eq!(table.arity(*p), Arity::Unary);
+            let (t, h) = s.unary_planes(table.slot(*p));
+            (t[w], h[w])
+        }
+        Formula::Unary(p, v) => lanes.splat(s.unary(table, *p, asg.lookup(*v, formula))),
+        Formula::Binary(p, a, b) if *a == lanes.var || *b == lanes.var => {
+            assert_eq!(table.arity(*p), Arity::Binary);
+            let slot = table.slot(*p);
+            if *a != lanes.var {
+                // Row copy: p(src, ·).
+                let src = asg.lookup(*a, formula).index();
+                assert!(src < s.node_count(), "node u{src} out of range");
+                let (t, h) = s.binary_row(slot, src);
+                return (t[w], h[w]);
+            }
+            // Column gather p(·, dst), or the diagonal p(v, v).
+            let dst = if *b == lanes.var { None } else { Some(asg.lookup(*b, formula).index()) };
+            let (pt, ph) = s.binary_slot_planes(slot);
+            let stride = s.stride_words();
+            let (mut t, mut h) = (0, 0);
+            let mut m = lanes.valid;
+            while m != 0 {
+                let i = m.trailing_zeros() as usize;
+                let src = lanes.base() + i;
+                let (dw, db) = bits::lane(dst.unwrap_or(src));
+                let at = src * stride + dw;
+                t |= ((pt[at] >> db) & 1) << i;
+                h |= ((ph[at] >> db) & 1) << i;
+                m &= m - 1;
+            }
+            (t, h)
+        }
+        Formula::Binary(p, a, b) => {
+            let (u, v) = (asg.lookup(*a, formula), asg.lookup(*b, formula));
+            lanes.splat(s.binary(table, *p, u, v))
+        }
+        Formula::Eq(a, b) if *a == lanes.var && *b == lanes.var => {
+            // u == u: True, or 1/2 on a summary node.
+            let (_, sm) = s.unary_planes(table.slot(table.sm()));
+            (lanes.valid & !sm[w], sm[w])
+        }
+        Formula::Eq(a, b) if *a == lanes.var || *b == lanes.var => {
+            let other = if *a == lanes.var { *b } else { *a };
+            let u = asg.lookup(other, formula);
+            let bit = lanes.bit(u.index());
+            if s.is_summary(table, u) {
+                (0, bit)
             } else {
-                Kleene::False
+                (bit, 0)
             }
         }
-        Quant::Forall => {
-            if has_f {
-                Kleene::False
-            } else if has_h {
-                Kleene::Unknown
+        Formula::Eq(..) => lanes.splat(eval_memo(s, table, formula, asg, memo)),
+        Formula::Not(f) => {
+            let (t, h) = row_word(s, table, f, lanes, asg, memo);
+            bits::not_word(t, h, lanes.valid)
+        }
+        Formula::And(l, r) => {
+            let (lt, lh) = row_word(s, table, l, lanes, asg, memo);
+            // Lanes where the left operand is False are decided.
+            let need = lanes.need & (lt | lh);
+            if need == 0 {
+                return (lt, lh);
+            }
+            let (rt, rh) = row_word(s, table, r, lanes.needing(need), asg, memo);
+            bits::and_word(lt, lh, rt, rh)
+        }
+        Formula::Or(l, r) => {
+            let (lt, lh) = row_word(s, table, l, lanes, asg, memo);
+            // Lanes where the left operand is True are decided.
+            let need = lanes.need & !lt;
+            if need == 0 {
+                return (lt, lh);
+            }
+            let (rt, rh) = row_word(s, table, r, lanes.needing(need), asg, memo);
+            bits::or_word(lt, lh, rt, rh)
+        }
+        Formula::Exists(v, body) | Formula::Forall(v, body) => {
+            if *v == lanes.var || !body.mentions_free(lanes.var) {
+                return lanes.splat(eval_memo(s, table, formula, asg, memo));
+            }
+            if reads_edge(body, lanes.var, *v) {
+                // The body's lane row would be built from column gathers of
+                // edges lane → v; folding rows of v per lane reads the same
+                // edges as row copies instead.
+                return per_lane(s, table, formula, lanes, asg, memo);
+            }
+            let exists = matches!(formula, Formula::Exists(..));
+            let saved = asg.get(*v);
+            let (mut acc_t, mut acc_h) = if exists { (0, 0) } else { (lanes.valid, 0) };
+            for u in s.nodes() {
+                asg.bind(*v, u);
+                // Lanes already True (∃) or False (∀) are decided.
+                let open = if exists { !acc_t } else { acc_t | acc_h };
+                let need = lanes.need & open;
+                if need == 0 {
+                    break;
+                }
+                let (t, h) = row_word(s, table, body, lanes.needing(need), asg, memo);
+                (acc_t, acc_h) = if exists {
+                    bits::or_word(acc_t, acc_h, t, h)
+                } else {
+                    bits::and_word(acc_t, acc_h, t, h)
+                };
+            }
+            restore(asg, *v, saved);
+            (acc_t, acc_h)
+        }
+        Formula::Tc { .. } => {
+            if formula.mentions_free(lanes.var) {
+                per_lane(s, table, formula, lanes, asg, memo)
             } else {
-                Kleene::True
+                lanes.splat(eval_memo(s, table, formula, asg, memo))
             }
         }
+    }
+}
+
+/// The fallback for shapes without a row form: [`eval_memo`] at each needed
+/// lane, with the lane variable bound to the lane's node.
+fn per_lane(
+    s: &Structure,
+    table: &PredTable,
+    formula: &Formula,
+    lanes: Lanes,
+    asg: &mut Assignment,
+    memo: &mut TcMemo,
+) -> (u64, u64) {
+    let saved = asg.get(lanes.var);
+    let (mut t, mut h) = (0, 0);
+    let mut m = lanes.need;
+    while m != 0 {
+        let i = m.trailing_zeros();
+        asg.bind(lanes.var, NodeId::from_index(lanes.base() + i as usize));
+        match eval_memo(s, table, formula, asg, memo) {
+            Kleene::True => t |= 1 << i,
+            Kleene::Unknown => h |= 1 << i,
+            Kleene::False => {}
+        }
+        m &= m - 1;
+    }
+    restore(asg, lanes.var, saved);
+    (t, h)
+}
+
+/// Whether `f` reads a binary atom `p(src, dst)` with both variables free.
+fn reads_edge(f: &Formula, src: Var, dst: Var) -> bool {
+    match f {
+        Formula::Binary(_, a, b) => *a == src && *b == dst,
+        Formula::Not(g) => reads_edge(g, src, dst),
+        Formula::And(l, r) | Formula::Or(l, r) => reads_edge(l, src, dst) || reads_edge(r, src, dst),
+        Formula::Exists(x, g) | Formula::Forall(x, g) => {
+            *x != src && *x != dst && reads_edge(g, src, dst)
+        }
+        _ => false,
     }
 }
 
@@ -410,6 +594,7 @@ fn tc_closure(
     b: Var,
     body: &Formula,
     asg: &mut Assignment,
+    memo: &mut TcMemo,
 ) -> TcBits {
     let n = s.node_count();
     let stride = bits::words_for(n);
@@ -436,24 +621,17 @@ fn tc_closure(
             }
         }
     } else {
-        let (saved_a, saved_b) = (asg.get(a), asg.get(b));
+        // One step row per source: body(u, ·) as a row in `b`.
+        let saved = asg.get(a);
         for u in s.nodes() {
             asg.bind(a, u);
-            for v in s.nodes() {
-                asg.bind(b, v);
-                let val = eval(s, table, body, asg);
-                if val != Kleene::False {
-                    let w = u.index() * stride + (v.index() >> 6);
-                    let bit = 1u64 << (v.index() & 63);
-                    step_m[w] |= bit;
-                    if val == Kleene::True {
-                        step_t[w] |= bit;
-                    }
-                }
+            for w in 0..stride {
+                let (t, h) = eval_row_word(s, table, body, b, w, asg, memo);
+                step_t[u.index() * stride + w] = t;
+                step_m[u.index() * stride + w] = t | h;
             }
         }
-        restore(asg, a, saved_a);
-        restore(asg, b, saved_b);
+        restore(asg, a, saved);
     }
 
     bool_closure(&mut step_t, n, stride);
@@ -491,22 +669,25 @@ pub fn eval_closed(s: &Structure, table: &PredTable, formula: &Formula) -> Kleen
 }
 
 /// Evaluates a formula with exactly one free variable at each node, returning
-/// the vector of values indexed by node.
+/// the vector of values indexed by node (an unpacked [`eval_row`]).
 pub fn eval_unary_at_all(
     s: &Structure,
     table: &PredTable,
     formula: &Formula,
     var: Var,
 ) -> Vec<Kleene> {
-    let mut asg = Assignment::new();
-    let mut memo = TcMemo::new();
-    s.nodes()
-        .map(|u| {
-            asg.bind(var, u);
-            eval_memo(s, table, formula, &mut asg, &mut memo)
-        })
-        .collect()
+    let stride = s.stride_words();
+    let (mut t, mut h) = (vec![0; stride], vec![0; stride]);
+    let (mut asg, mut memo) = (Assignment::new(), TcMemo::new());
+    eval_row(s, table, formula, var, &mut asg, &mut memo, &mut t, &mut h);
+    (0..s.node_count()).map(|u| bits::get_lane(&t, &h, u)).collect()
 }
+
+/// The naive per-node reference semantics the tests below pin against,
+/// shared with the integration tests.
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -595,8 +776,9 @@ mod tests {
 
     #[test]
     fn quantifier_fold_matches_loop_on_all_shapes() {
-        // Pin the plane-fold fast paths (∃/∀ over p(v), ¬p(v), f(u,v),
-        // f(v,u)) against the generic evaluation loop on a mixed structure.
+        // Pin the row folds of ∃/∀ over p(v), ¬p(v), f(u,v), f(v,u) and
+        // their negations against the per-node reference evaluator on a
+        // mixed structure.
         let (t, x, f, _g) = setup();
         let mut s = Structure::new(&t);
         let nodes: Vec<NodeId> = (0..5).map(|_| s.add_node(&t)).collect();
@@ -607,32 +789,20 @@ mod tests {
         s.set_binary(&t, f, nodes[4], nodes[0], Kleene::Unknown);
         let v = Var(0);
         let u = Var(1);
-        let atoms = || -> Vec<Formula> {
-            vec![
-                Formula::unary(x, v),
-                Formula::unary(x, v).not(),
-                Formula::binary(f, u, v),
-                Formula::binary(f, v, u),
-                Formula::binary(f, u, v).not(),
-                Formula::binary(f, v, u).not(),
-            ]
-        };
+        let bodies = [
+            Formula::unary(x, v),
+            Formula::unary(x, v).not(),
+            Formula::binary(f, u, v),
+            Formula::binary(f, v, u),
+            Formula::binary(f, u, v).not(),
+            Formula::binary(f, v, u).not(),
+        ];
         for src in &nodes {
-            for exists in [true, false] {
-                // The loop path is forced by wrapping the atom so it is not
-                // a recognizable fast-path shape (¬¬ is semantically id).
-                for (fast_body, slow_body) in atoms().into_iter().zip(
-                    atoms().into_iter().map(|a| a.not().not()),
-                ) {
-                    let (fast, slow) = if exists {
-                        (Formula::exists(v, fast_body), Formula::exists(v, slow_body))
-                    } else {
-                        (Formula::forall(v, fast_body), Formula::forall(v, slow_body))
-                    };
-                    let mut asg = Assignment::of([(u, *src)]);
-                    let got = eval(&s, &t, &fast, &mut asg.clone());
-                    let want = eval(&s, &t, &slow, &mut asg);
-                    assert_eq!(got, want, "src={src} formula={fast}");
+            for body in &bodies {
+                for phi in [Formula::exists(v, body.clone()), Formula::forall(v, body.clone())] {
+                    let got = eval(&s, &t, &phi, &mut Assignment::of([(u, *src)]));
+                    let want = reference::reference_eval(&s, &t, &phi, &mut vec![(u, *src)]);
+                    assert_eq!(got, want, "src={src} formula={phi}");
                 }
             }
         }
@@ -685,27 +855,26 @@ mod tests {
 
     #[test]
     fn tc_direct_and_general_bodies_agree() {
-        // The direct plane-copy fast path (body ≡ f(a,b)) must produce the
-        // same closure as the generic eval path over an equivalent body.
-        let (t, _x, f, _g) = setup();
+        // The direct plane-copy path (body ≡ f(a,b)) and the row-built step
+        // relation of a general body must both produce the reference closure.
+        let (t, x, f, _g) = setup();
         let mut s = Structure::new(&t);
         let nodes: Vec<NodeId> = (0..4).map(|_| s.add_node(&t)).collect();
         s.set_binary(&t, f, nodes[0], nodes[1], Kleene::True);
         s.set_binary(&t, f, nodes[1], nodes[2], Kleene::Unknown);
         s.set_binary(&t, f, nodes[2], nodes[0], Kleene::True);
         s.set_binary(&t, f, nodes[3], nodes[3], Kleene::Unknown);
+        s.set_unary(&t, x, nodes[2], Kleene::Unknown);
         let (l, r, a, b) = (Var(0), Var(1), Var(2), Var(3));
         let direct = Formula::tc(l, r, a, b, Formula::binary(f, a, b));
-        // ¬¬f(a,b) is semantically identical but not the fast-path shape.
-        let general = Formula::tc(l, r, a, b, Formula::binary(f, a, b).not().not());
-        for &u in &nodes {
-            for &v in &nodes {
-                let mut asg = Assignment::of([(l, u), (r, v)]);
-                assert_eq!(
-                    eval(&s, &t, &direct, &mut asg.clone()),
-                    eval(&s, &t, &general, &mut asg),
-                    "tc({u}, {v})"
-                );
+        let general = Formula::tc(l, r, a, b, Formula::binary(f, a, b).and(Formula::unary(x, b).not()));
+        for phi in [&direct, &general] {
+            for &u in &nodes {
+                for &v in &nodes {
+                    let got = eval(&s, &t, phi, &mut Assignment::of([(l, u), (r, v)]));
+                    let want = reference::reference_eval(&s, &t, phi, &mut vec![(l, u), (r, v)]);
+                    assert_eq!(got, want, "{phi} at ({u}, {v})");
+                }
             }
         }
     }

@@ -229,6 +229,33 @@ impl Formula {
         }
     }
 
+    /// Whether `v` occurs free in the formula. Unlike [`Formula::free_vars`]
+    /// this walks without allocating, so evaluators can call it per row.
+    pub(crate) fn mentions_free(&self, v: Var) -> bool {
+        match self {
+            Formula::Const(_) | Formula::Nullary(_) => false,
+            Formula::Unary(_, x) => *x == v,
+            Formula::Binary(_, a, b) | Formula::Eq(a, b) => *a == v || *b == v,
+            Formula::Not(f) => f.mentions_free(v),
+            Formula::And(l, r) | Formula::Or(l, r) => l.mentions_free(v) || r.mentions_free(v),
+            Formula::Exists(x, f) | Formula::Forall(x, f) => *x != v && f.mentions_free(v),
+            Formula::Tc { lhs, rhs, a, b, body } => {
+                *lhs == v || *rhs == v || (*a != v && *b != v && body.mentions_free(v))
+            }
+        }
+    }
+
+    /// Whether predicate `p` occurs anywhere in the formula.
+    pub(crate) fn mentions_pred(&self, p: PredId) -> bool {
+        match self {
+            Formula::Const(_) | Formula::Eq(..) => false,
+            Formula::Nullary(q) | Formula::Unary(q, _) | Formula::Binary(q, ..) => *q == p,
+            Formula::Not(f) | Formula::Exists(_, f) | Formula::Forall(_, f) => f.mentions_pred(p),
+            Formula::And(l, r) | Formula::Or(l, r) => l.mentions_pred(p) || r.mentions_pred(p),
+            Formula::Tc { body, .. } => body.mentions_pred(p),
+        }
+    }
+
     /// Renames every *free* occurrence of `from` to `to`.
     ///
     /// # Panics
@@ -367,6 +394,28 @@ mod tests {
         assert_eq!(phi.free_vars(), vec![v0]);
         let tc = Formula::tc(v0, v2, Var(3), Var(4), Formula::binary(f, Var(3), Var(4)));
         assert_eq!(tc.free_vars(), vec![v0, v2]);
+    }
+
+    #[test]
+    fn mentions_free_agrees_with_free_vars() {
+        let (t, x, f) = preds();
+        let (v0, v1, v2) = (Var(0), Var(1), Var(2));
+        let phis = [
+            Formula::exists(v1, Formula::unary(x, v1).and(Formula::binary(f, v1, v0))),
+            Formula::tc(v0, v2, Var(3), Var(4), Formula::binary(f, Var(3), v1)),
+            Formula::tc(v0, v2, v1, Var(4), Formula::binary(f, v1, Var(4))),
+            Formula::forall(v0, Formula::eq(v0, v2)).or(Formula::nullary(x)),
+        ];
+        for phi in &phis {
+            let free = phi.free_vars();
+            for v in [v0, v1, v2, Var(3), Var(4)] {
+                assert_eq!(phi.mentions_free(v), free.contains(&v), "{v} in {phi}");
+            }
+            assert!(phi.mentions_pred(f) || phi.mentions_pred(x));
+        }
+        let g = PredId(t.len() as u32);
+        assert!(!phis[0].mentions_pred(g));
+        assert!(phis[1].mentions_pred(f) && !phis[1].mentions_pred(x));
     }
 
     #[test]

@@ -289,6 +289,18 @@ impl Structure {
         )
     }
 
+    /// Mutable planes of a whole binary slot. Callers must preserve the
+    /// `t & h` and padding invariants.
+    #[inline]
+    pub(crate) fn binary_slot_planes_mut(&mut self, slot: usize) -> (&mut [u64], &mut [u64]) {
+        let rows = self.n as usize * self.stride as usize;
+        let base = slot * rows;
+        (
+            &mut self.binary_t[base..base + rows],
+            &mut self.binary_h[base..base + rows],
+        )
+    }
+
     /// Raw unary read by slot index (no arity/table checks).
     #[inline]
     pub(crate) fn get_u(&self, slot: usize, u: usize) -> Kleene {

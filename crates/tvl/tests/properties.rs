@@ -10,6 +10,9 @@
 //! * formula evaluation is monotone along blurring: the value on the
 //!   blurred structure conservatively approximates the concrete value.
 //!
+//! * row evaluation (`eval_row`) equals the naive per-node reference
+//!   semantics of `reference/mod.rs` lane for lane.
+//!
 //! Inputs are generated by a seeded in-repo PRNG (`hetsep-prng`) so the
 //! suite runs with no network access; each property replays a fixed number
 //! of deterministic cases, reporting the offending seed on failure.
@@ -25,6 +28,8 @@ use hetsep_tvl::formula::{Formula, Var};
 use hetsep_tvl::pred::{PredFlags, PredId, PredTable};
 use hetsep_tvl::structure::{NodeId, Structure};
 use hetsep_tvl::Kleene;
+
+mod reference;
 
 const CASES: u64 = 128;
 const N_VARS: usize = 2;
@@ -741,5 +746,242 @@ fn canonical_key_is_identity_on_blurred() {
             b,
             "seed {seed}: canonical_key must be the identity on blur output"
         );
+    }
+}
+
+/// The row-evaluation vocabulary: two unary, two binary and one nullary
+/// predicate besides the built-in `sm`/`isnew`.
+struct RowVocab {
+    table: PredTable,
+    unary: [PredId; 2],
+    binary: [PredId; 2],
+    nullary: PredId,
+}
+
+fn row_vocab() -> RowVocab {
+    let mut table = PredTable::new();
+    let unary = [
+        table.add_unary("u0", PredFlags::boolean_field()),
+        table.add_unary("u1", PredFlags::default()),
+    ];
+    let binary = [
+        table.add_binary("f0", PredFlags::reference_field()),
+        table.add_binary("f1", PredFlags::default()),
+    ];
+    let nullary = table.add_nullary("g", PredFlags::default());
+    RowVocab { table, unary, binary, nullary }
+}
+
+/// The lane variable and the two other free variables of the row formulas.
+const LANE: Var = Var(0);
+const FREE: [Var; 2] = [Var(1), Var(2)];
+
+fn gen_kleene(rng: &mut XorShift) -> Kleene {
+    [Kleene::False, Kleene::Unknown, Kleene::True][rng.gen_range(3)]
+}
+
+/// A random 3-valued structure of `n` nodes: every unary value random, about
+/// a quarter of the nodes summaries, a few random edges per source plus
+/// some self-loops.
+fn gen_row_structure(rng: &mut XorShift, v: &RowVocab, n: usize) -> Structure {
+    let t = &v.table;
+    let mut s = Structure::new(t);
+    s.add_nodes(t, n);
+    s.set_nullary(t, v.nullary, gen_kleene(rng));
+    let ids: Vec<NodeId> = s.nodes().collect();
+    for &u in &ids {
+        for p in v.unary {
+            s.set_unary(t, p, u, gen_kleene(rng));
+        }
+        s.set_summary(t, u, rng.gen_ratio(1, 4));
+        for p in v.binary {
+            for _ in 0..1 + rng.gen_range(3) {
+                let d = ids[rng.gen_range(n)];
+                s.set_binary(t, p, u, d, gen_kleene(rng));
+            }
+            if rng.gen_ratio(1, 3) {
+                s.set_binary(t, p, u, u, gen_kleene(rng));
+            }
+        }
+    }
+    s
+}
+
+/// A random formula whose free variables are among `scope`; the lane
+/// variable is picked for about half of all atom positions. Quantifiers
+/// nest at most `quants` deep, and `Tc` (with a quantifier-free body)
+/// appears only where `tc` allows it.
+fn gen_row_formula(
+    rng: &mut XorShift,
+    v: &RowVocab,
+    depth: u32,
+    scope: &mut Vec<Var>,
+    quants: u32,
+    tc: bool,
+) -> Formula {
+    let pick = |rng: &mut XorShift, scope: &[Var]| {
+        if rng.gen_bool() {
+            LANE
+        } else {
+            *rng.choose(scope)
+        }
+    };
+    if depth > 0 && rng.gen_range(3) != 0 {
+        match rng.gen_range(6) {
+            0 => return gen_row_formula(rng, v, depth - 1, scope, quants, tc).not(),
+            1 => {
+                let l = gen_row_formula(rng, v, depth - 1, scope, quants, tc);
+                return l.and(gen_row_formula(rng, v, depth - 1, scope, quants, tc));
+            }
+            2 => {
+                let l = gen_row_formula(rng, v, depth - 1, scope, quants, tc);
+                return l.or(gen_row_formula(rng, v, depth - 1, scope, quants, tc));
+            }
+            3 | 4 if quants > 0 => {
+                // Usually a fresh variable; sometimes one already in scope,
+                // the lane included, to exercise shadowing.
+                let bound = if rng.gen_ratio(1, 4) { pick(rng, scope) } else { Var(10 + depth as u16) };
+                scope.push(bound);
+                let body = gen_row_formula(rng, v, depth - 1, scope, quants - 1, false);
+                scope.pop();
+                return if rng.gen_bool() {
+                    Formula::exists(bound, body)
+                } else {
+                    Formula::forall(bound, body)
+                };
+            }
+            5 if tc => {
+                let (a, b) = (Var(20), Var(21));
+                scope.extend([a, b]);
+                let body = gen_row_formula(rng, v, depth.min(2) - 1, scope, 0, false);
+                scope.truncate(scope.len() - 2);
+                let (lhs, rhs) = (pick(rng, scope), pick(rng, scope));
+                return Formula::tc(lhs, rhs, a, b, body);
+            }
+            _ => {}
+        }
+    }
+    match rng.gen_range(6) {
+        0 => Formula::Const(gen_kleene(rng)),
+        1 => Formula::nullary(v.nullary),
+        2 => Formula::unary(*rng.choose(&v.unary), pick(rng, scope)),
+        3 | 4 => {
+            let (a, b) = (pick(rng, scope), pick(rng, scope));
+            Formula::binary(*rng.choose(&v.binary), a, b)
+        }
+        _ => Formula::eq(pick(rng, scope), pick(rng, scope)),
+    }
+}
+
+/// Hand-written shapes putting the lane in every position the row kernel
+/// distinguishes.
+fn row_shapes(v: &RowVocab) -> Vec<Formula> {
+    let [u0, u1] = v.unary;
+    let [f0, f1] = v.binary;
+    let (l, x, y, w, z) = (LANE, FREE[0], FREE[1], Var(10), Var(11));
+    let (a, b) = (Var(20), Var(21));
+    vec![
+        Formula::unary(u0, l),
+        Formula::binary(f0, l, x),
+        Formula::binary(f0, x, l),
+        Formula::binary(f1, l, l),
+        Formula::eq(l, l),
+        Formula::eq(l, x),
+        Formula::eq(y, l),
+        Formula::eq(x, y),
+        Formula::nullary(v.nullary),
+        Formula::Const(Kleene::Unknown),
+        Formula::Const(Kleene::True).not(),
+        Formula::nullary(v.nullary).and(Formula::unary(u1, l)),
+        Formula::unary(u0, l).or(Formula::binary(f0, l, x).not()),
+        Formula::exists(w, Formula::binary(f0, l, w).and(Formula::unary(u1, w))),
+        Formula::forall(w, Formula::binary(f1, w, l).or(Formula::unary(u0, w).not())),
+        Formula::exists(w, Formula::forall(z, Formula::binary(f0, w, z).or(Formula::binary(f1, l, z)))),
+        Formula::forall(w, Formula::exists(z, Formula::binary(f0, l, z).and(Formula::eq(z, w)))),
+        Formula::exists(l, Formula::unary(u0, l)),
+        Formula::forall(w, Formula::unary(u0, w)).and(Formula::unary(u1, l)),
+        Formula::tc(l, x, a, b, Formula::binary(f0, a, b)),
+        Formula::tc(x, l, a, b, Formula::binary(f0, a, b).or(Formula::binary(f1, b, a))),
+        Formula::tc(l, l, a, b, Formula::binary(f1, a, b)),
+        Formula::tc(x, y, a, b, Formula::binary(f0, a, b)),
+        Formula::tc(l, x, a, b, Formula::binary(f0, a, b).and(Formula::unary(u0, l))),
+        Formula::unary(u0, l).not().and(Formula::tc(l, y, a, b, Formula::binary(f0, b, a))),
+    ]
+}
+
+/// A closure under a quantifier: the reference recomputes it per lane and
+/// per bound node, O(n⁴) steps, so it is checked on small universes only.
+fn tc_under_quantifier(v: &RowVocab) -> Formula {
+    let (l, w, a, b) = (LANE, Var(10), Var(20), Var(21));
+    let reach = Formula::tc(l, w, a, b, Formula::binary(v.binary[0], a, b));
+    Formula::exists(w, reach.and(Formula::unary(v.unary[1], w)))
+}
+
+/// Checks `eval_row` (with the lane also bound, to garbage, in the
+/// assignment) against the reference row, plus the plane invariants:
+/// `t & h == 0` and zero padding past `n`.
+fn check_row(s: &Structure, table: &PredTable, f: &Formula, free: [NodeId; 2], ctx: &str) {
+    use hetsep_tvl::bits;
+    use hetsep_tvl::eval::{eval_row, Assignment, TcMemo};
+
+    let n = s.node_count();
+    let mut env = vec![(FREE[0], free[0]), (FREE[1], free[1])];
+    let want = reference::reference_row(s, table, f, LANE, &mut env);
+    let mut asg = Assignment::of([(FREE[0], free[0]), (FREE[1], free[1]), (LANE, free[1])]);
+    let stride = bits::words_for(n);
+    let (mut t, mut h) = (vec![!0u64; stride], vec![!0u64; stride]);
+    eval_row(s, table, f, LANE, &mut asg, &mut TcMemo::new(), &mut t, &mut h);
+    for (u, want) in want.iter().enumerate() {
+        assert_eq!(bits::get_lane(&t, &h, u), *want, "{ctx}: lane {u} of {f}");
+    }
+    for w in 0..stride {
+        assert_eq!(t[w] & h[w], 0, "{ctx}: t & h in word {w} of {f}");
+        let pad = !bits::word_mask(n, w);
+        assert_eq!((t[w] | h[w]) & pad, 0, "{ctx}: padding bits in word {w} of {f}");
+    }
+    assert_eq!(asg.get(LANE), Some(free[1]), "{ctx}: lane binding restored");
+    assert_eq!(asg.get(FREE[0]), Some(free[0]), "{ctx}: free binding kept");
+}
+
+/// `eval_row` equals the per-node reference semantics lane for lane, on
+/// seeded random 3-valued structures at word-boundary sizes, for the
+/// hand-written shapes and for random formulas; closed quantifications of
+/// the same formulas pin the scalar row folds, including the empty
+/// universe.
+#[test]
+fn eval_row_matches_reference_evaluator() {
+    use hetsep_tvl::eval::eval_closed;
+
+    let v = row_vocab();
+    let t = &v.table;
+    for n in [0usize, 1, 2, 63, 64, 65, 129] {
+        let mut rng = XorShift::new(0x7017 ^ n as u64);
+        let s = gen_row_structure(&mut rng, &v, n);
+        let mut formulas = row_shapes(&v);
+        if n <= 2 {
+            formulas.push(tc_under_quantifier(&v));
+        }
+        let (quants, tc) = if n <= 65 { (2, true) } else { (1, false) };
+        for _ in 0..24 {
+            let mut scope = vec![LANE, FREE[0], FREE[1]];
+            formulas.push(gen_row_formula(&mut rng, &v, 4, &mut scope, quants, tc));
+        }
+        for (ix, f) in formulas.iter().enumerate() {
+            let ctx = format!("n={n} formula #{ix}");
+            if n > 0 {
+                let free = [NodeId::from_index(rng.gen_range(n)), NodeId::from_index(n - 1)];
+                check_row(&s, t, f, free, &ctx);
+            }
+            if n <= 2 {
+                // Closed: every free variable quantified, so the scalar
+                // quantifiers fold rows of rows.
+                let closed = Formula::exists(
+                    FREE[0],
+                    Formula::forall(FREE[1], Formula::exists(LANE, f.clone())),
+                );
+                let want = reference::reference_eval(&s, t, &closed, &mut Vec::new());
+                assert_eq!(eval_closed(&s, t, &closed), want, "{ctx}: {closed}");
+            }
+        }
     }
 }

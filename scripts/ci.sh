@@ -11,12 +11,15 @@ cargo test -q
 # stride-padding leak checks must also pass under release codegen (the
 # bit-twiddling kernels are exactly what optimization rewrites hardest).
 # The block (4x u64 unrolled) kernels must agree with the per-word kernels
-# lane for lane.
+# lane for lane, and row evaluation and the row-wise coerce sweep must
+# agree with the naive per-node reference semantics.
 cargo test -q -p hetsep-tvl --release --test properties -- \
     word_kernels_match_scalar_truth_tables_in_every_lane \
     stride_padding_bits_never_leak \
     block_kernels_match_word_kernels_in_every_lane \
-    block_scan_kernels_respect_stride_padding
+    block_scan_kernels_respect_stride_padding \
+    eval_row_matches_reference_evaluator
+cargo test -q -p hetsep-tvl --release --test coerce_rows
 cargo test -q -p hetsep-tvl --release --test bulk_grow
 
 # Scheduler determinism matrix: the scenario-suite byte-identity contracts
